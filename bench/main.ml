@@ -22,6 +22,13 @@ let section title =
 
 let check name ok = printf "CHECK %-60s %s\n" name (if ok then "[pass]" else "[FAIL]")
 
+(* Write an exhibit's machine-readable record (one JSON object). *)
+let write_json file (v : Util.Json.t) =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Util.Json.to_string v);
+      output_char oc '\n');
+  printf "wrote %s\n" file
+
 (* Measurement worker domains; set from --jobs before any search is
    forced.  The search results are identical for every value. *)
 let jobs = ref (Util.Pool.default_jobs ())
@@ -715,23 +722,31 @@ let perf () =
   let total_wall = List.fold_left (fun a (_, _, _, _, w, _, _) -> a +. w) 0.0 rows in
   printf "\naggregate: %.2f M warp-instrs/s over the four sweeps\n"
     (float_of_int total_wi /. total_wall /. 1e6);
-  let json = Buffer.create 1024 in
-  Printf.bprintf json "{\n  \"bench\": \"sim_throughput\",\n  \"scale\": \"quick\",\n  \"reps\": %d,\n  \"apps\": [\n" (reps_per_pass * passes);
-  List.iteri
-    (fun idx (app, cands, runs, wi, wall, base, speedup) ->
-      Printf.bprintf json
-        "    {\"app\": %S, \"candidates\": %d, \"sim_runs\": %d, \"warp_instrs\": %d, \"wall_s\": %.6f, \"winstr_per_s\": %.0f, \"baseline_wall_s\": %.3f, \"speedup\": %.3f}%s\n"
-        app cands runs wi wall
-        (float_of_int wi /. wall)
-        base speedup
-        (if idx = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf json "  ],\n  \"aggregate_winstr_per_s\": %.0f\n}\n"
-    (float_of_int total_wi /. total_wall);
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_sim.json\n";
+  write_json "BENCH_sim.json"
+    Util.Json.(
+      Obj
+        [
+          ("bench", Str "sim_throughput");
+          ("scale", Str "quick");
+          ("reps", Int (reps_per_pass * passes));
+          ( "apps",
+            List
+              (List.map
+                 (fun (app, cands, runs, wi, wall, base, speedup) ->
+                   Obj
+                     [
+                       ("app", Str app);
+                       ("candidates", Int cands);
+                       ("sim_runs", Int runs);
+                       ("warp_instrs", Int wi);
+                       ("wall_s", Float wall);
+                       ("winstr_per_s", Float (float_of_int wi /. wall));
+                       ("baseline_wall_s", Float base);
+                       ("speedup", Float speedup);
+                     ])
+                 rows) );
+          ("aggregate_winstr_per_s", Float (float_of_int total_wi /. total_wall));
+        ]);
   let speedup_of app = let (_, _, _, _, _, _, s) = List.find (fun (a, _, _, _, _, _, _) -> a = app) rows in s in
   check "matmul sweep >= 2.5x over the interpretive core" (speedup_of "matmul" >= 2.5);
   check "every app's sweep faster than the interpretive core"
@@ -745,10 +760,10 @@ let perf () =
    sweep with seeded injected faults (a crashing thunk, a runaway
    kernel the watchdog cuts off, a corrupt pass the verifier rejects)
    reports every fault, still finds the surviving optimum exactly, and
-   a checkpointed sweep killed partway resumes to the identical
-   result. *)
+   a sweep killed partway resumes through the result store to the
+   identical result. *)
 let chaos () =
-  section "Chaos: fault-injected sweep + checkpoint/resume (matmul quick)";
+  section "Chaos: fault-injected sweep + kill/resume through the store (matmul quick)";
   let e = registry "matmul" in
   let cands = e.quick_candidates () in
   let baseline = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" cands in
@@ -777,34 +792,24 @@ let chaos () =
   check "faults off the frontier leave selected_best unchanged"
     (r.selected_best.cand.desc = baseline.selected_best.cand.desc
     && r.selected_best.time_s = baseline.selected_best.time_s);
-  (* Kill-and-resume on a checkpoint journal. *)
-  let tmp = Filename.temp_file "bench-chaos-" ".journal" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let k = max 1 (r.space_size / 2) in
-      let interrupted =
-        match
-          Tuner.Search.run ~jobs:!jobs ~checkpoint:tmp ~checkpoint_budget:k ~app_name:"matmul"
-            injected_cands
-        with
-        | (_ : Tuner.Search.result) -> false
-        | exception Tuner.Measure.Interrupted { journaled; _ } -> journaled = k
-      in
-      check "checkpointed sweep interrupts after its budget" interrupted;
-      let resumed =
-        Tuner.Search.run ~jobs:!jobs ~checkpoint:tmp ~app_name:"matmul" injected_cands
-      in
-      let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
-      check "resume skips the journaled half" (resumed.engine.measure_runs = r.space_size - k);
-      check "resumed sweep equals the uninterrupted one"
-        (times resumed.exhaustive = times r.exhaustive
-        && List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f))
-             resumed.faults
-           = List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f))
-               r.faults
-        && resumed.best.cand.desc = r.best.cand.desc
-        && resumed.selected_eval_time = r.selected_eval_time))
+  (* Kill-and-resume through a fresh result store. *)
+  let kr =
+    Tuner.Chaos.kill_and_resume ~jobs:!jobs ~app_name:"matmul" ~k:(max 1 (r.space_size / 2))
+      injected_cands
+  in
+  let resumed = kr.rs_resumed in
+  let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
+  let faults res =
+    List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f)) res
+  in
+  check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
+  check "resume skips the stored measurements"
+    (resumed.engine.measure_runs = r.space_size - kr.rs_loaded);
+  check "resumed sweep equals the uninterrupted one"
+    (times resumed.exhaustive = times r.exhaustive
+    && faults resumed.faults = faults r.faults
+    && resumed.best.cand.desc = r.best.cand.desc
+    && resumed.selected_eval_time = r.selected_eval_time)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: tuning-as-a-service load harness                             *)
@@ -1016,26 +1021,44 @@ let serve () =
           Domain.join daemon;
           check "daemon shut down cleanly; socket unlinked" (not (Sys.file_exists socket));
           (* ---- BENCH_serve.json ---------------------------------- *)
-          let json = Buffer.create 1024 in
-          Printf.bprintf json
-            "{\n  \"bench\": \"serve\",\n  \"requests\": %d,\n  \"clients\": %d,\n  \"conn_workers\": %d,\n  \"jobs\": %d,\n  \"wall_s\": %.6f,\n  \"throughput_rps\": %.1f,\n  \"p50_ms\": %.3f,\n  \"p99_ms\": %.3f,\n  \"hit_rate\": %.6f,\n  \"store\": {\"hits\": %d, \"misses\": %d, \"entries\": %d, \"sim_runs\": %d},\n  \"cold_ms\": {%s},\n  \"classes\": [\n"
-            total nclients conn_workers !jobs wall
-            (float_of_int total /. wall)
-            (p50_all *. 1000.0) (p99_all *. 1000.0) hit_rate hits misses entries runs
-            (String.concat ", "
-               (List.map (fun (app, dt, _) -> Printf.sprintf "\"%s\": %.3f" app (dt *. 1000.0)) cold));
-          List.iteri
-            (fun idx (k, n, p50, p99, mx) ->
-              Printf.bprintf json
-                "    {\"class\": %S, \"count\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n"
-                k n (p50 *. 1000.0) (p99 *. 1000.0) (mx *. 1000.0)
-                (if idx = List.length per_class - 1 then "" else ","))
-            per_class;
-          Printf.bprintf json "  ]\n}\n";
-          let oc = open_out "BENCH_serve.json" in
-          output_string oc (Buffer.contents json);
-          close_out oc;
-          printf "wrote BENCH_serve.json\n"))
+          let ms x = Util.Json.Float (x *. 1000.0) in
+          write_json "BENCH_serve.json"
+            Util.Json.(
+              Obj
+                [
+                  ("bench", Str "serve");
+                  ("requests", Int total);
+                  ("clients", Int nclients);
+                  ("conn_workers", Int conn_workers);
+                  ("jobs", Int !jobs);
+                  ("wall_s", Float wall);
+                  ("throughput_rps", Float (float_of_int total /. wall));
+                  ("p50_ms", ms p50_all);
+                  ("p99_ms", ms p99_all);
+                  ("hit_rate", Float hit_rate);
+                  ( "store",
+                    Obj
+                      [
+                        ("hits", Int hits);
+                        ("misses", Int misses);
+                        ("entries", Int entries);
+                        ("sim_runs", Int runs);
+                      ] );
+                  ("cold_ms", Obj (List.map (fun (app, dt, _) -> (app, ms dt)) cold));
+                  ( "classes",
+                    List
+                      (List.map
+                         (fun (k, n, p50, p99, mx) ->
+                           Obj
+                             [
+                               ("class", Str k);
+                               ("count", Int n);
+                               ("p50_ms", ms p50);
+                               ("p99_ms", ms p99);
+                               ("max_ms", ms mx);
+                             ])
+                         per_class) );
+                ])))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos-net: the hardened daemon under wire-level fire                *)
@@ -1242,18 +1265,26 @@ let chaos_net () =
       reap !pid;
       check "socket unlinked on clean shutdown" (not (Sys.file_exists socket));
       (* ---- BENCH_chaos_net.json ------------------------------------ *)
-      let json = Buffer.create 512 in
-      Printf.bprintf json
-        "{\n  \"bench\": \"chaos_net\",\n  \"strikes\": %d,\n  \"availability\": %.6f,\n  \"honest_ok\": %d,\n  \"honest_total\": %d,\n  \"faults\": {%s},\n  \"fsck_after_kill\": {\"records\": %d, \"valid\": %d, \"corrupt\": %d, \"reclaimable_bytes\": %d},\n  \"compact_reclaimed_bytes\": %d\n}\n"
-        strikes avail !honest_ok !honest_total
-        (String.concat ", " (List.map (fun (n, c) -> Printf.sprintf "\"%s\": %d" n c) tally))
-        report.Tuner.Store.fs_records report.Tuner.Store.fs_valid
-        (List.length report.Tuner.Store.fs_corrupt)
-        report.Tuner.Store.fs_reclaimable reclaimed;
-      let oc = open_out "BENCH_chaos_net.json" in
-      output_string oc (Buffer.contents json);
-      close_out oc;
-      printf "wrote BENCH_chaos_net.json\n")
+      write_json "BENCH_chaos_net.json"
+        Util.Json.(
+          Obj
+            [
+              ("bench", Str "chaos_net");
+              ("strikes", Int strikes);
+              ("availability", Float avail);
+              ("honest_ok", Int !honest_ok);
+              ("honest_total", Int !honest_total);
+              ("faults", Obj (List.map (fun (n, c) -> (n, Int c)) tally));
+              ( "fsck_after_kill",
+                Obj
+                  [
+                    ("records", Int report.Tuner.Store.fs_records);
+                    ("valid", Int report.Tuner.Store.fs_valid);
+                    ("corrupt", Int (List.length report.Tuner.Store.fs_corrupt));
+                    ("reclaimable_bytes", Int report.Tuner.Store.fs_reclaimable);
+                  ] );
+              ("compact_reclaimed_bytes", Int reclaimed);
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* Superopt: the tiered rule-discovery funnel                          *)
@@ -1336,16 +1367,30 @@ let superopt () =
     check "peephole pass rewrites matmul's raw lowering" (st.Ptx.Peephole.matched >= 1);
     check "rewritten kernel passes translation validation"
       (match Ptx.Equiv.validate before after with Ok _ -> true | Error _ -> false));
-  let json = Buffer.create 1024 in
-  Printf.bprintf json
-    "{\n  \"bench\": \"superopt\",\n  \"arch\": \"g80\",\n  \"jobs\": %d,\n  \"rules\": %d,\n  \"tiers\": {\"quick\": %d, \"bounded\": %d, \"exhaustive\": %d},\n  \"funnel\": {\"windows\": %d, \"pairs\": %d, \"rejected_quick\": %d, \"rejected_bounded\": %d, \"rejected_exhaustive\": %d, \"unsupported\": %d, \"passed\": %d},\n  \"elapsed_s\": %.6f,\n  \"pairs_per_s\": %.0f,\n  \"db_digest\": %S\n}\n"
-    !jobs nrules q b e f.So.fn_lhs f.So.fn_pairs f.So.fn_quick f.So.fn_bounded
-    f.So.fn_exhaustive f.So.fn_unsupported f.So.fn_passed r.So.elapsed_s rate
-    (P.digest r.So.rules);
-  let oc = open_out "BENCH_superopt.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_superopt.json\n"
+  write_json "BENCH_superopt.json"
+    Util.Json.(
+      Obj
+        [
+          ("bench", Str "superopt");
+          ("arch", Str "g80");
+          ("jobs", Int !jobs);
+          ("rules", Int nrules);
+          ("tiers", Obj [ ("quick", Int q); ("bounded", Int b); ("exhaustive", Int e) ]);
+          ( "funnel",
+            Obj
+              [
+                ("windows", Int f.So.fn_lhs);
+                ("pairs", Int f.So.fn_pairs);
+                ("rejected_quick", Int f.So.fn_quick);
+                ("rejected_bounded", Int f.So.fn_bounded);
+                ("rejected_exhaustive", Int f.So.fn_exhaustive);
+                ("unsupported", Int f.So.fn_unsupported);
+                ("passed", Int f.So.fn_passed);
+              ] );
+          ("elapsed_s", Float r.So.elapsed_s);
+          ("pairs_per_s", Float rate);
+          ("db_digest", Str (P.digest r.So.rules));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Predictive pruning: the model-driven race                           *)
@@ -1440,33 +1485,39 @@ let prune () =
   let d4 = race ~jobs:4 ~budget:0.10 "matmul" in
   check "jobs 1 vs 4: model, ranking and winner bit-identical" (key d1 = key d4);
   (* ---- BENCH_prune.json -------------------------------------------- *)
-  let json = Buffer.create 1024 in
-  Printf.bprintf json "{\n  \"bench\": \"prune\",\n  \"arch\": \"g80\",\n  \"jobs\": %d,\n  \"apps\": [\n"
-    !jobs;
-  List.iteri
-    (fun i (name, (r : Tuner.Search.result), budget, (o : Tuner.Prune.outcome)) ->
-      let frac =
-        float_of_int o.Tuner.Prune.pr_simulated /. float_of_int o.Tuner.Prune.pr_total
-      in
-      Printf.bprintf json
-        "    {\"app\": %S, \"space\": %d, \"budget_frac\": %.6f, \"probes\": %d, \"raced\": %d, \
-         \"survivors\": %d, \"simulated\": %d, \"simulated_frac\": %.6f, \"pareto_reduction\": \
-         %.6f, \"optimum_rank\": %d, \"recovered\": %b, \"model\": %S}%s\n"
-        name o.Tuner.Prune.pr_total budget
-        (List.length o.Tuner.Prune.pr_probes)
-        o.Tuner.Prune.pr_raced
-        (List.length o.Tuner.Prune.pr_survivors)
-        o.Tuner.Prune.pr_simulated frac r.reduction
-        (Option.value (Tuner.Prune.rank_of o r.best.cand.desc) ~default:0)
-        (Tuner.Prune.recovered o ~best:r.best)
-        (Tuner.Predict.digest o.Tuner.Prune.pr_model)
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.bprintf json "  ],\n  \"jobs_bit_identical\": %b\n}\n" (key d1 = key d4);
-  let oc = open_out "BENCH_prune.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_prune.json\n"
+  write_json "BENCH_prune.json"
+    Util.Json.(
+      Obj
+        [
+          ("bench", Str "prune");
+          ("arch", Str "g80");
+          ("jobs", Int !jobs);
+          ( "apps",
+            List
+              (List.map
+                 (fun (name, (r : Tuner.Search.result), budget, (o : Tuner.Prune.outcome)) ->
+                   Obj
+                     [
+                       ("app", Str name);
+                       ("space", Int o.Tuner.Prune.pr_total);
+                       ("budget_frac", Float budget);
+                       ("probes", Int (List.length o.Tuner.Prune.pr_probes));
+                       ("raced", Int o.Tuner.Prune.pr_raced);
+                       ("survivors", Int (List.length o.Tuner.Prune.pr_survivors));
+                       ("simulated", Int o.Tuner.Prune.pr_simulated);
+                       ( "simulated_frac",
+                         Float
+                           (float_of_int o.Tuner.Prune.pr_simulated
+                           /. float_of_int o.Tuner.Prune.pr_total) );
+                       ("pareto_reduction", Float r.reduction);
+                       ( "optimum_rank",
+                         Int (Option.value (Tuner.Prune.rank_of o r.best.cand.desc) ~default:0) );
+                       ("recovered", Bool (Tuner.Prune.recovered o ~best:r.best));
+                       ("model", Str (Tuner.Predict.digest o.Tuner.Prune.pr_model));
+                     ])
+                 rows) );
+          ("jobs_bit_identical", Bool (key d1 = key d4));
+        ])
 
 (* ------------------------------------------------------------------ *)
 

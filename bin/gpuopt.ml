@@ -136,8 +136,9 @@ let winner_line (arch : Gpu.Arch.t) (m : Tuner.Search.measured) =
 let store_arg =
   let doc =
     "Back measurements with the content-addressed result store in $(docv) (created if absent): \
-     points already present are answered from disk, new measurements are appended.  The same \
-     file drives $(b,gpuopt serve)."
+     points already present are answered from disk, new measurements are appended as they land, \
+     so a sweep interrupted partway resumes where it stopped when re-run with the same file.  \
+     The same file drives $(b,gpuopt serve)."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
 
@@ -238,17 +239,6 @@ let explore_cmd =
     "Exhaustively measure an application's optimization space, then compare against the \
      Pareto-pruned search (paper Table 4 / Figure 6)."
   in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Journal every settled measurement (time or fault) to $(docv) as it lands.  \
-             Re-running with the same file skips the journaled candidates, so an interrupted \
-             sweep resumes where it stopped.  The journal is keyed by app and candidate space; \
-             a stale or foreign journal is rejected.")
-  in
   let fail_fast_arg =
     Arg.(
       value & flag
@@ -266,8 +256,8 @@ let explore_cmd =
     in
     Arg.(value & flag & info [ "predict" ] ~doc)
   in
-  let run (e : Apps.Registry.entry) jobs quick stats checkpoint fail_fast store_file arch_name
-      rules predict budget =
+  let run (e : Apps.Registry.entry) jobs quick stats fail_fast store_file arch_name rules predict
+      budget =
     if arch_name = "all" then begin
       if predict then begin
         Printf.eprintf "explore: --predict races one space at a time; not supported with --arch all\n";
@@ -276,10 +266,6 @@ let explore_cmd =
       (* Cross-arch sweep: arch is the outer enumeration axis; one
          engine (and store binding) per arch, then the per-arch winner
          table and greppable winner lines. *)
-      if checkpoint <> None then begin
-        Printf.eprintf "explore: --checkpoint is per-space; not supported with --arch all\n";
-        exit 2
-      end;
       let rs =
         with_store store_file (fun store ->
             Tuner.Search.run_archs ~jobs ~fail_fast ?store
@@ -314,7 +300,7 @@ let explore_cmd =
                 Some
                   (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
             in
-            Tuner.Search.run ~jobs ~fail_fast ?checkpoint ?store ?predict:pspec
+            Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
               ?budget_frac:(budget_frac budget)
               ~store_scale:(if quick then "quick" else "full")
               ~app_name:e.name
@@ -323,10 +309,6 @@ let explore_cmd =
       | Tuner.Fault.Fail { desc; fault } ->
         Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
         exit 1
-      | Tuner.Measure.Interrupted { file; journaled } ->
-        Printf.eprintf "sweep interrupted: %d measurement(s) journaled to %s; rerun with the \
-                        same --checkpoint to resume\n" journaled file;
-        exit 3
     in
     Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
     print_string (Tuner.Report.figure6 r);
@@ -359,8 +341,8 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ checkpoint_arg $ fail_fast_arg
-      $ store_arg $ arch_name_arg $ rules_flag $ predict_flag $ budget_arg)
+      const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ fail_fast_arg $ store_arg
+      $ arch_name_arg $ rules_flag $ predict_flag $ budget_arg)
 
 let predict_cmd =
   let doc =
@@ -447,8 +429,8 @@ let chaos_cmd =
     "Prove the tuner's fault tolerance on an application: inject deterministic failures \
      (crashing thunks, watchdog-caught runaway kernels, corrupt passes) into the space, check \
      that every fault is reported and the search still finds the true optimum among the \
-     survivors, then kill a checkpointed sweep partway and check that resuming reproduces the \
-     uninterrupted result exactly.  Exits nonzero if any check fails."
+     survivors, then kill a sweep partway and check that re-running it against the same result \
+     store reproduces the uninterrupted result exactly.  Exits nonzero if any check fails."
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Victim-selection seed.")
@@ -545,35 +527,25 @@ let chaos_cmd =
         && r.selected_best.time_s = baseline.selected_best.time_s
         && r.optimum_selected = baseline.optimum_selected)
     end;
-    (* Kill-and-resume: checkpoint the injected sweep, stop it after
-       half the space, resume against the same journal, and demand the
-       merged result equals the uninterrupted one. *)
-    let tmp = Filename.temp_file "gpuopt-chaos-" ".journal" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-      (fun () ->
-        let nvalid = r.space_size in
-        let k = max 1 (nvalid / 2) in
-        let interrupted =
-          match
-            Tuner.Search.run ~jobs ~checkpoint:tmp ~checkpoint_budget:k ~app_name:e.name
-              injected_cands
-          with
-          | (_ : Tuner.Search.result) -> false
-          | exception Tuner.Measure.Interrupted { journaled; _ } -> journaled = k
-        in
-        check "sweep interrupts after the journal budget" interrupted;
-        let resumed = Tuner.Search.run ~jobs ~checkpoint:tmp ~app_name:e.name injected_cands in
-        check "resumed sweep skips the journaled measurements"
-          (resumed.engine.measure_runs = nvalid - k);
-        check "resumed result equals the uninterrupted one"
-          (times resumed.exhaustive = times r.exhaustive
-          && List.map fault_key resumed.faults = List.map fault_key r.faults
-          && resumed.best.cand.desc = r.best.cand.desc
-          && resumed.best.time_s = r.best.time_s
-          && resumed.selected_best.cand.desc = r.selected_best.cand.desc
-          && resumed.selected_eval_time = r.selected_eval_time
-          && resumed.reduction = r.reduction));
+    (* Kill-and-resume: stop the injected sweep after half the space,
+       re-run it against the same store, and demand the merged result
+       equals the uninterrupted one. *)
+    let nvalid = r.space_size in
+    let kr =
+      Tuner.Chaos.kill_and_resume ~jobs ~app_name:e.name ~k:(max 1 (nvalid / 2)) injected_cands
+    in
+    let resumed = kr.rs_resumed in
+    check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
+    check "resumed sweep skips the stored measurements"
+      (resumed.engine.measure_runs = nvalid - kr.rs_loaded);
+    check "resumed result equals the uninterrupted one"
+      (times resumed.exhaustive = times r.exhaustive
+      && List.map fault_key resumed.faults = List.map fault_key r.faults
+      && resumed.best.cand.desc = r.best.cand.desc
+      && resumed.best.time_s = r.best.time_s
+      && resumed.selected_best.cand.desc = r.selected_best.cand.desc
+      && resumed.selected_eval_time = r.selected_eval_time
+      && resumed.reduction = r.reduction);
     if !failures > 0 then begin
       Printf.printf "\n%d check(s) FAILED\n" !failures;
       exit 1
@@ -1160,7 +1132,7 @@ let superopt_cmd =
     "Discover a verified peephole rule database for the target machine: enumerate short \
      canonical windows, propose cheaper rewrites, and push each pair through the equivalence \
      funnel (quick vectors, adversarial bounded sweep, exhaustive proof on narrow domains).  \
-     With $(docv), additionally apply the database to the app's default configuration and \
+     With $(i,APP), additionally apply the database to the app's default configuration and \
      validate the result.  $(b,--quick) bounds discovery to single-instruction windows."
   in
   let opt_app_arg =

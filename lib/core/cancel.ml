@@ -2,12 +2,11 @@
 
    A token is a thread-safe flag plus an optional absolute wall-clock
    deadline.  [Measure.measure_outcomes] polls it between candidates —
-   the same seam the checkpoint journal's budget abort uses — so a
-   cancelled sweep stops paying for the simulator at the next candidate
-   boundary and aborts with the typed [Cancelled] exception.  Nothing
-   is ever *un*-measured: every outcome settled before the token
-   tripped is cached (and journaled/stored as attached), so a retried
-   request resumes from them.
+   its one abort seam — so a cancelled sweep stops paying for the
+   simulator at the next candidate boundary and aborts with the typed
+   [Cancelled] exception.  Nothing is ever *un*-measured: every outcome
+   settled before the token tripped is cached (and stored, when a
+   store is attached), so a retried request resumes from them.
 
    Determinism: a token that never trips is invisible — it changes no
    measured value and no ordering.  A token that does trip only decides

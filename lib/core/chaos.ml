@@ -25,8 +25,9 @@
 
    `gpuopt chaos` drives this over a real application space and checks
    that every injected fault is reported, that the surviving search
-   still selects the true optimum, and that checkpoint/resume across a
-   simulated kill reproduces the uninterrupted result. *)
+   still selects the true optimum, and that a sweep killed partway
+   ([kill_and_resume]) resumes through the result store to the
+   uninterrupted result. *)
 
 type kind = Throw | Runaway | Corrupt_pass
 
@@ -178,6 +179,60 @@ let inject ~(seed : int) ~(count : int) ?(avoid : string list = []) (cands : Can
       cands
   in
   (cands', injections)
+
+(* ------------------------------------------------------------------ *)
+(* Kill and resume                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A deterministic "kill at k": wrap every measurement thunk so that
+   the [k]-th one to start trips [cancel].  That thunk still finishes
+   and its outcome is kept; thunks not yet started skip the simulator,
+   and the sweep aborts with [Cancel.Cancelled].  At one worker exactly
+   [k] outcomes settle; with more, the ones already in flight finish
+   too. *)
+let trip_at ~(k : int) (cancel : Cancel.t) (cands : Candidate.t list) : Candidate.t list =
+  let started = Atomic.make 0 in
+  List.map
+    (fun (c : Candidate.t) ->
+      {
+        c with
+        run =
+          (fun () ->
+            if Atomic.fetch_and_add started 1 = k - 1 then Cancel.cancel cancel;
+            c.run ());
+      })
+    cands
+
+type resume = {
+  rs_cancelled : bool;  (* the killed sweep aborted with [Cancel.Cancelled] *)
+  rs_loaded : int;  (* outcomes the reopened store held *)
+  rs_resumed : Search.result;  (* the sweep re-run against that store *)
+}
+
+(* Kill a sweep of [cands] at its [k]-th measurement, then resume it by
+   re-running the sweep against the same result store.  The store is a
+   fresh temporary file, private to the call: injected victims keep
+   their clean twin's desc and PTX, so their faults must never reach a
+   shared store. *)
+let kill_and_resume ?jobs ~(app_name : string) ~(k : int) (cands : Candidate.t list) : resume =
+  let file = Filename.temp_file "gpuopt-chaos-" ".store" in
+  let with_store f =
+    let store = Store.open_ ~file () in
+    Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      let cancel = Cancel.create () in
+      let rs_cancelled =
+        with_store (fun store ->
+            match Search.run ?jobs ~store ~cancel ~app_name (trip_at ~k cancel cands) with
+            | (_ : Search.result) -> false
+            | exception Cancel.Cancelled -> true)
+      in
+      with_store (fun store ->
+          let rs_resumed = Search.run ?jobs ~store ~app_name cands in
+          { rs_cancelled; rs_loaded = Store.loaded store; rs_resumed }))
 
 (* ------------------------------------------------------------------ *)
 (* Wire-level chaos: misbehaving clients for the tuning daemon         *)

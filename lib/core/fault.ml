@@ -95,13 +95,14 @@ let run_candidate (c : Candidate.t) : (float, t) result =
     Error (classify ~backtrace:bt e)
 
 (* ------------------------------------------------------------------ *)
-(* Journal encoding                                                    *)
+(* One-line encoding                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One-line, versioned-by-the-journal-header encoding for the
-   measurement checkpoint file.  [Worker_crash] backtraces are process
-   memory addresses and are deliberately dropped: a resumed sweep
-   reports the crash, not a stale stack. *)
+(* One-line text encoding of a fault, shared by the result store's
+   records and the wire protocol's fault rows (versioned by the store
+   header and the protocol version).  [Worker_crash] backtraces are
+   process memory addresses and are deliberately dropped: a resumed
+   sweep reports the crash, not a stale stack. *)
 let to_journal = function
   | Compile_error { stage; reason } -> Printf.sprintf "compile %S %S" stage reason
   | Verify_rejected { stage; reason } -> Printf.sprintf "verify %S %S" stage reason

@@ -16,15 +16,13 @@
      simulator trap, watchdog abort) is recorded in the cache as a
      [Fault.t] — measured-as-failed exactly once, so retries are
      deterministic and one bad candidate cannot poison the sweep;
-   - an optional checkpoint journal: every settled outcome (time or
-     fault) is appended to a file as it lands, and a fresh engine can
-     reload the journal to skip finished work, so an interrupted
-     multi-hour sweep resumes where it stopped;
    - an optional content-addressed result store ([Store]): before
      paying for the simulator, the engine asks the store for the
-     candidate's key, and every outcome it does pay for is written
-     back — so across engines, processes and serving sessions, no
-     (kernel x space x arch) point is ever measured twice.
+     candidate's key, and every outcome it does pay for (time or
+     fault) is appended as it lands — so across engines, processes and
+     serving sessions no (kernel x space x arch) point is ever measured
+     twice, and an interrupted sweep resumes by re-running it against
+     the same store.
 
    Determinism: simulated times depend only on the candidate itself
    (each [run] thunk operates on private state — see the domain-safety
@@ -36,27 +34,6 @@ type measured = { cand : Candidate.t; time_s : float }
 (* What one measurement settled to: the simulated seconds, or the
    classified fault that ended it. *)
 type outcome = (float, Fault.t) result
-
-(* Raised out of [measure_outcomes] when the journal's entry budget ran
-   out mid-sweep (the harness's stand-in for a kill): the journal holds
-   exactly the budgeted number of outcomes and a rerun against the same
-   file resumes from them. *)
-exception Interrupted of { file : string; journaled : int }
-
-let () =
-  Printexc.register_printer (function
-    | Interrupted { file; journaled } ->
-      Some
-        (Printf.sprintf "Tuner.Measure.Interrupted(journal %s holds %d outcomes)" file journaled)
-    | _ -> None)
-
-type journal = {
-  j_file : string;
-  j_oc : out_channel;
-  mutable j_remaining : int;  (* entries the budget still allows *)
-  mutable j_written : int;  (* entries appended by this engine *)
-  mutable j_interrupted : bool;  (* budget exhausted: abort the sweep *)
-}
 
 (* A shared result store bound to this engine: where to look before
    running the simulator, and how to derive a candidate's
@@ -72,7 +49,6 @@ type t = {
   mutable hits : int;  (* measurements answered from the cache *)
   mutable store_hits : int;  (* ...of which answered by the result store *)
   mutable store_misses : int;  (* store consulted, simulator paid anyway *)
-  mutable journal : journal option;
   mutable store : store_binding option;
 }
 
@@ -86,7 +62,6 @@ let create ~app_name () =
     hits = 0;
     store_hits = 0;
     store_misses = 0;
-    journal = None;
     store = None;
   }
 
@@ -97,146 +72,6 @@ let attach_store t ~(store : Store.t) ~(key : Candidate.t -> string) : unit =
   Mutex.protect t.lock (fun () ->
       if t.store <> None then invalid_arg "Measure.attach_store: store already attached";
       t.store <- Some { sb_store = store; sb_key = key })
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint journal                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Journal layout (plain text, one record per line):
-
-     gpuopt-journal v1
-     app <application name>
-     key <space key: digest of the candidate list>
-     ok <desc %S> <time, Hexfloat encoding>
-     fault <desc %S> <Fault.to_journal encoding>
-
-   Times round-trip exactly through the hexadecimal float format, so a
-   resumed sweep is bit-identical to an uninterrupted one.  The header
-   is validated on load: a journal written for another app, another
-   space (different key) or another format version is rejected loudly
-   instead of silently corrupting the resumed results. *)
-
-let journal_magic = "gpuopt-journal v1"
-
-let journal_entry desc (o : outcome) : string =
-  match o with
-  | Ok time_s -> Printf.sprintf "ok %S %s" desc (Hexfloat.to_string time_s)
-  | Error f -> Printf.sprintf "fault %S %s" desc (Fault.to_journal f)
-
-let parse_entry (file : string) (lineno : int) (line : string) : string * outcome =
-  let bad reason =
-    failwith
-      (Printf.sprintf "Measure: corrupt journal %s, line %d (%s): %S" file lineno reason line)
-  in
-  match String.index_opt line ' ' with
-  | None -> bad "no record tag"
-  | Some i -> (
-    match String.sub line 0 i with
-    | "ok" -> (
-      match
-        try Some (Scanf.sscanf line "ok %S %s" (fun desc t -> (desc, t)))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-      with
-      | None -> bad "unparseable ok record"
-      | Some (desc, t) -> (
-        match Hexfloat.of_string_opt t with
-        | Some time -> (desc, Ok time)
-        | None -> bad "unparseable ok record"))
-    | "fault" -> (
-      match
-        try Some (Scanf.sscanf line "fault %S %n" (fun desc n -> (desc, n)))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-      with
-      | None -> bad "unparseable fault record"
-      | Some (desc, ofs) -> (
-        let rest = String.sub line ofs (String.length line - ofs) in
-        match Fault.of_journal rest with
-        | Some f -> (desc, Error f)
-        | None -> bad "unparseable fault payload"))
-    | tag -> bad (Printf.sprintf "unknown record tag %S" tag))
-
-(* Attach a checkpoint journal to the engine.  If [file] exists, its
-   header is validated against this engine's app name and the caller's
-   [key] (reject loudly on any mismatch — a stale journal must never
-   leak measurements into the wrong sweep) and its entries seed the
-   cache; the file is then opened for append.  [stop_after] bounds how
-   many *new* outcomes this engine may journal before the sweep aborts
-   with [Interrupted] — the test harness's deterministic stand-in for
-   killing a long sweep partway.  Returns the number of entries
-   loaded. *)
-let checkpoint ?(stop_after = max_int) t ~(file : string) ~(key : string) : int =
-  if stop_after < 0 then invalid_arg "Measure.checkpoint: stop_after must be >= 0";
-  Mutex.protect t.lock (fun () ->
-      if t.journal <> None then invalid_arg "Measure.checkpoint: journal already attached";
-      let loaded = ref 0 in
-      let exists = Sys.file_exists file && (Unix.stat file).Unix.st_size > 0 in
-      if exists then begin
-        let ic = open_in file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let line lineno what =
-              match In_channel.input_line ic with
-              | Some l -> l
-              | None ->
-                failwith
-                  (Printf.sprintf "Measure: truncated journal %s: missing %s (line %d)" file what
-                     lineno)
-            in
-            let magic = line 1 "format line" in
-            if magic <> journal_magic then
-              failwith
-                (Printf.sprintf
-                   "Measure: journal %s has format %S, expected %S — refusing a stale or foreign \
-                    journal"
-                   file magic journal_magic);
-            let app_line = line 2 "app line" in
-            if app_line <> "app " ^ t.app_name then
-              failwith
-                (Printf.sprintf "Measure: journal %s is for %S, not app %S" file app_line
-                   t.app_name);
-            let key_line = line 3 "key line" in
-            if key_line <> "key " ^ key then
-              failwith
-                (Printf.sprintf
-                   "Measure: journal %s was written for a different candidate space (%s, expected \
-                    key %s) — delete it or pass the matching space"
-                   file key_line key);
-            let lineno = ref 3 in
-            let rec entries () =
-              match In_channel.input_line ic with
-              | None -> ()
-              | Some "" -> entries ()
-              | Some l ->
-                incr lineno;
-                let desc, o = parse_entry file !lineno l in
-                Hashtbl.replace t.cache desc o;
-                incr loaded;
-                entries ()
-            in
-            entries ())
-      end;
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file
-      in
-      if not exists then begin
-        output_string oc (journal_magic ^ "\n");
-        output_string oc ("app " ^ t.app_name ^ "\n");
-        output_string oc ("key " ^ key ^ "\n");
-        flush oc
-      end;
-      t.journal <-
-        Some { j_file = file; j_oc = oc; j_remaining = stop_after; j_written = 0; j_interrupted = false };
-      !loaded)
-
-(* Detach and close the journal (flushes).  Safe without one. *)
-let close_journal t =
-  Mutex.protect t.lock (fun () ->
-      match t.journal with
-      | None -> ()
-      | Some j ->
-        (try close_out j.j_oc with Sys_error _ -> ());
-        t.journal <- None)
 
 (* ------------------------------------------------------------------ *)
 (* Cache lookups                                                       *)
@@ -278,48 +113,29 @@ let time_exn t (c : Candidate.t) : float =
 (* Bulk measurement                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Record one settled outcome under the lock: cache, bookkeeping, the
-   journal and the result store (as attached).  When the journal budget
-   is exhausted the outcome is *discarded* — not cached, not journaled,
-   not stored — and the engine flips to interrupted, exactly as if the
-   process had been killed between two appends.  [store_key] is the
-   candidate's content address, computed by the worker off the lock. *)
+(* Record one settled outcome under the lock: cache, bookkeeping and
+   the result store (when attached).  [store_key] is the candidate's
+   content address, computed by the worker off the lock. *)
 let record t desc ?(store_key : string option) (o : outcome) (host_s : float) : unit =
   Mutex.protect t.lock (fun () ->
-      match t.journal with
-      | Some j when j.j_interrupted -> ()
-      | Some j when j.j_remaining = 0 -> j.j_interrupted <- true
-      | journal ->
-        Hashtbl.replace t.cache desc o;
-        Hashtbl.replace t.host desc host_s;
-        t.runs <- t.runs + 1;
-        (match (t.store, store_key) with
-        | Some sb, Some key -> Store.put sb.sb_store ~key ~desc o
-        | _ -> ());
-        (match journal with
-        | None -> ()
-        | Some j ->
-          j.j_remaining <- j.j_remaining - 1;
-          j.j_written <- j.j_written + 1;
-          output_string j.j_oc (journal_entry desc o ^ "\n");
-          flush j.j_oc))
-
-let interrupted t =
-  Mutex.protect t.lock (fun () ->
-      match t.journal with Some j -> j.j_interrupted | None -> false)
+      Hashtbl.replace t.cache desc o;
+      Hashtbl.replace t.host desc host_s;
+      t.runs <- t.runs + 1;
+      match (t.store, store_key) with
+      | Some sb, Some key -> Store.put sb.sb_store ~key ~desc o
+      | _ -> ())
 
 (* Measure every candidate of [cands], in parallel over [jobs] domains
    (default [Pool.default_jobs ()]), skipping those already settled in
-   the cache (including those loaded from a checkpoint journal, and
-   those settled as faults).  Returns one (candidate, outcome) pair per
+   the cache or the attached store (faults included).  Returns one (candidate, outcome) pair per
    input, in input order.
 
    [?cancel] is a cooperative cancellation token checked between
-   candidates, exactly like the journal-budget abort: once it trips,
-   remaining thunks skip the simulator, and if any requested outcome is
-   still unsettled the sweep aborts with [Cancel.Cancelled].  Already
-   settled outcomes (cache, journal, store) still answer, so an expired
-   deadline over warm data completes instead of failing. *)
+   candidates: once it trips, remaining thunks skip the simulator, and
+   if any requested outcome is still unsettled the sweep aborts with
+   [Cancel.Cancelled].  Already settled outcomes (cache, store) still
+   answer, so an expired deadline over warm data completes instead of
+   failing. *)
 let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t * outcome) list =
   (* Decide what actually needs the simulator before spawning workers;
      duplicates within one batch collapse to a single run, and the
@@ -359,10 +175,9 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
   let results =
     Util.Pool.map_result ?jobs
       (fun (c : Candidate.t) ->
-        (* Once the journal budget killed the sweep — or the caller's
-           cancellation token tripped — remaining thunks skip the
-           simulator: their outcomes would be discarded or unwanted. *)
-        if interrupted t || cancelled () then ()
+        (* Once the caller's cancellation token tripped, remaining
+           thunks skip the simulator: their outcomes are unwanted. *)
+        if cancelled () then ()
         else begin
           (* The content address digests the candidate's PTX: compute it
              on the worker, off the engine lock. *)
@@ -374,12 +189,9 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
       to_run
   in
   (* [Fault.run_candidate] classifies everything a thunk can raise, so
-     an [Error] here means the engine itself failed (journal I/O, a
+     an [Error] here means the engine itself failed (store I/O, a
      corrupt cache): that is not a per-candidate fault — re-raise. *)
   List.iter (function Error (e, _) -> raise e | Ok () -> ()) results;
-  (match Mutex.protect t.lock (fun () -> t.journal) with
-  | Some j when j.j_interrupted -> raise (Interrupted { file = j.j_file; journaled = j.j_written })
-  | _ -> ());
   (* A tripped token with outstanding work is a typed abort; with every
      outcome already settled it is a no-op (warm answers are free). *)
   if

@@ -122,8 +122,9 @@ type request =
 (* One measurement, with the simulated seconds carried exactly. *)
 type measured_row = { m_desc : string; m_time_s : float }
 
-(* One per-candidate fault, in the journal encoding ([Fault.to_journal]).
-   Kept as a string at this layer so the protocol stays pure. *)
+(* One per-candidate fault, in the store's one-line fault encoding
+   ([Fault.to_journal]).  Kept as a string at this layer so the
+   protocol stays pure. *)
 type fault_row = { f_desc : string; f_fault : string }
 
 (* Summary of one model-driven race ([Prune.outcome]), flattened to

@@ -1,10 +1,11 @@
 (* Persistent content-addressed measurement store.
 
    The paper's premise is that exhaustively measuring an optimization
-   space is too expensive to repeat; PR 5's checkpoint journal let one
-   interrupted sweep resume, and this module generalizes it into the
-   tuning service's shared cache: any measurement performed once — by
-   any client, in any session — is answered from disk forever after.
+   space is too expensive to repeat.  This module is the tuner's one
+   persistence format: any measurement performed once — by any client,
+   in any session — is answered from disk forever after, so an
+   interrupted sweep resumes by re-running it against the same store,
+   and the tuning service shares one cache across all its clients.
 
    Content addressing.  An entry's key is a digest of everything that
    determines the simulated time:
@@ -32,7 +33,7 @@
    payload fails to parse is *rejected loudly and skipped* — corruption
    costs re-measuring the damaged entries, never a wrong answer and
    never the rest of the store.  Times round-trip exactly through the
-   %h hexadecimal float format, as in the PR-5 journals. *)
+   %h hexadecimal float format ([Hexfloat]). *)
 
 type outcome = (float, Fault.t) result
 

@@ -279,16 +279,21 @@ let corruption_tests =
                 S.put s ~key:(key_of 99) ~desc:"post" (Ok 9.0);
                 Alcotest.(check int) "append after damage" 3 (S.entries s))));
     t "a foreign header is refused outright" (fun () ->
-        with_tmp (fun file ->
-            Out_channel.with_open_text file (fun oc ->
-                Out_channel.output_string oc "some other format v9\n");
-            match S.open_ ~file () with
-            | (_ : S.t) -> Alcotest.fail "foreign file accepted"
-            | exception Failure msg ->
-              Alcotest.(check bool) "error names the file" true
-                (String.length msg > 0
-                && String.exists (fun _ -> true) msg
-                && Option.is_some (String.index_opt msg ':'))));
+        (* Includes the header of the retired checkpoint journal: an old
+           journal passed as a store must be refused, not misread. *)
+        List.iter
+          (fun header ->
+            with_tmp (fun file ->
+                Out_channel.with_open_text file (fun oc ->
+                    Out_channel.output_string oc (header ^ "\n"));
+                match S.open_ ~file () with
+                | (_ : S.t) -> Alcotest.failf "foreign file accepted: %S" header
+                | exception Failure msg ->
+                  Alcotest.(check bool) "error names the file" true
+                    (String.length msg > 0
+                    && String.exists (fun _ -> true) msg
+                    && Option.is_some (String.index_opt msg ':'))))
+          [ "some other format v9"; "gpuopt-journal v1" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
