@@ -37,7 +37,7 @@ let jobs = ref (Util.Pool.default_jobs ())
 (* Shared search results (computed once, reused by several exhibits)   *)
 (* ------------------------------------------------------------------ *)
 
-let matmul_n = 256
+let matmul_n = (Apps.Matmul.sizes Bench).n
 
 let timed_search name cands =
   let t0 = Unix.gettimeofday () in
@@ -47,11 +47,11 @@ let timed_search name cands =
     !jobs;
   r
 
-(* Each search comes from the app registry's bench-scale candidate
-   builder (matmul at N=256 rather than the paper's 512, so the
-   exhaustive pass stays tractable on a host CPU). *)
+(* Each search runs the app registry's candidates at the [Bench] scale
+   (matmul at N=256 rather than the paper's 512, so the exhaustive pass
+   stays tractable on a host CPU). *)
 let registry name = Option.get (Apps.Registry.find name)
-let result_of name = lazy (let e = registry name in timed_search e.display (e.bench_candidates ()))
+let result_of name = lazy (let e = registry name in timed_search e.display (e.candidates Bench))
 let matmul_result = result_of "matmul"
 let cp_result = result_of "cp"
 let sad_result = result_of "sad"
@@ -317,9 +317,9 @@ let table3 () =
   let cp = Lazy.force cp_result in
   let sad = Lazy.force sad_result in
   let mri = Lazy.force mri_result in
-  let cp_p = Apps.Cp.setup () in
-  let sad_p = Apps.Sad.setup () in
-  let mri_p = Apps.Mri_fhd.setup () in
+  let cp_p = Apps.Cp.sizes Paper in
+  let sad_p = Apps.Sad.sizes Paper in
+  let mri_p = Apps.Mri_fhd.sizes Paper in
   let rows =
     [
       Apps.Cpu_model.row ~app:"Matrix Multiplication"
@@ -536,10 +536,11 @@ let lint () =
   match (registry "matmul").workbench () with
   | Error msg -> printf "matmul workbench: %s\n" msg
   | Ok wb ->
-    let racy = Apps.Workbench.lint_mutant wb (Kir.Mutate.drop_sync ~index:1) in
+    let mutant kind = Result.get_ok (Apps.Workbench.mutation wb kind) in
+    let racy = Apps.Workbench.lint_mutant wb (mutant `Race) in
     check "barrier-dropped matmul mutant is flagged as racy"
       (racy.Analysis.Lint.r_races.Analysis.Races.findings <> []);
-    let conflicted = Apps.Workbench.lint_mutant wb (Kir.Mutate.transpose_store ~array:"As") in
+    let conflicted = Apps.Workbench.lint_mutant wb (mutant `Bank) in
     let has_conflict =
       List.exists
         (fun (sr : Analysis.Lint.site_report) ->
@@ -558,14 +559,12 @@ let bechamel () =
   section "Bechamel: static-pipeline micro-benchmarks (one per exhibit)";
   let open Bechamel in
   let mm_cfg = { Apps.Matmul.tile = 16; rect = 2; unroll = 4; prefetch = true; spill = false } in
-  let mm_ptx = (Apps.Matmul.compile ~n:matmul_n mm_cfg).ptx in
-  let cp_ptx = (Apps.Cp.compile ~natoms:128 { block_y = 8; tiling = 4; coalesce = true }).ptx in
-  let sad_ptx =
-    (Apps.Sad.compile ~w:176 ~h:144 ~sr:8 { tpb = 64; tiling = 2; u_vec = 2; u_py = 2; u_px = 4 }).ptx
-  in
-  let mri_ptx =
-    (Apps.Mri_fhd.compile ~nsamples:64 ~nvox:107520 { tpb = 128; unroll = 4; wpt = 2 }).ptx
-  in
+  let compile_mm () = Apps.App.compile Apps.Matmul.app (Apps.Matmul.sizes Bench) mm_cfg in
+  let paper_ptx app cfg = (Apps.App.compile app (app.Apps.App.sizes Paper) cfg).ptx in
+  let mm_ptx = (compile_mm ()).ptx in
+  let cp_ptx = paper_ptx Apps.Cp.app { block_y = 8; tiling = 4; coalesce = true } in
+  let sad_ptx = paper_ptx Apps.Sad.app { tpb = 64; tiling = 2; u_vec = 2; u_py = 2; u_px = 4 } in
+  let mri_ptx = paper_ptx Apps.Mri_fhd.app { tpb = 128; unroll = 4; wpt = 2 } in
   let mk_metric ptx tpb threads () =
     let res = Ptx.Resource.of_kernel ptx in
     let prof = Ptx.Count.profile_of ptx in
@@ -590,7 +589,7 @@ let bechamel () =
       Test.make ~name:"table2/resource-report"
         (Staged.stage (fun () -> Ptx.Resource.of_kernel mm_ptx));
       Test.make ~name:"fig3/matmul-compile"
-        (Staged.stage (fun () -> Apps.Matmul.compile ~n:matmul_n mm_cfg));
+        (Staged.stage compile_mm);
       Test.make ~name:"fig4/sad-metrics" (Staged.stage (mk_metric sad_ptx 64 1e6));
       Test.make ~name:"fig5/cp-metrics" (Staged.stage (mk_metric cp_ptx 128 1e5));
       Test.make ~name:"fig6/pareto-frontier"
@@ -648,7 +647,7 @@ let perf () =
       (fun app ->
         let e = registry app in
         let cands =
-          List.filter (fun (c : Tuner.Candidate.t) -> c.valid) (e.quick_candidates ())
+          List.filter (fun (c : Tuner.Candidate.t) -> c.valid) (e.candidates Quick)
         in
         let sweep () = List.iter (fun (c : Tuner.Candidate.t) -> ignore (c.run ())) cands in
         (app, List.length cands, sweep))
@@ -765,7 +764,7 @@ let perf () =
 let chaos () =
   section "Chaos: fault-injected sweep + kill/resume through the store (matmul quick)";
   let e = registry "matmul" in
-  let cands = e.quick_candidates () in
+  let cands = e.candidates Quick in
   let baseline = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" cands in
   let avoid = List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) baseline.selected in
   let injected_cands, injections =
@@ -800,7 +799,7 @@ let chaos () =
   let resumed = kr.rs_resumed in
   let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
   let faults res =
-    List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f)) res
+    List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.encode f)) res
   in
   check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
   check "resume skips the stored measurements"
@@ -887,7 +886,7 @@ let serve () =
             List.map
               (fun app ->
                 let e = registry app in
-                let direct = Tuner.Search.run ~jobs:!jobs ~app_name:app (e.quick_candidates ()) in
+                let direct = Tuner.Search.run ~jobs:!jobs ~app_name:app (e.candidates Quick) in
                 let t0 = Unix.gettimeofday () in
                 let reply = Srv.call ~socket (P.Explore { app; scale = P.Quick; chaos = None; arch = None; predict = false; deadline_ms = None }) in
                 let dt = Unix.gettimeofday () -. t0 in
@@ -930,9 +929,9 @@ let serve () =
               else if List.length x.x_faults <> 2 then Some "chaos fault count wrong"
               else if
                 List.exists
-                  (fun (f : P.fault_row) -> Tuner.Fault.of_journal f.f_fault = None)
+                  (fun (f : P.fault_row) -> Tuner.Fault.decode f.f_fault = None)
                   x.x_faults
-              then Some "chaos fault not in journal encoding"
+              then Some "chaos fault not in the fault encoding"
               else None
             | k, Ok _ -> Some (k ^ ": unexpected reply type")
           in
@@ -1108,7 +1107,7 @@ let chaos_net () =
      quick spaces the served explores will cover. *)
   let direct =
     List.map
-      (fun app -> (app, Tuner.Search.run ~jobs:!jobs ~app_name:app ((registry app).quick_candidates ())))
+      (fun app -> (app, Tuner.Search.run ~jobs:!jobs ~app_name:app ((registry app).candidates Quick)))
       chaos_net_apps
   in
   let pair_eq (d, t) (d', t') = d = d' && feq t t' in
@@ -1256,7 +1255,7 @@ let chaos_net () =
       check "post-restart warm explores bit-identical, zero simulator runs" post_ok;
       (match Srv.call ~socket (explore_req "sad") with
       | Ok (P.Explore_r x) ->
-        let d = Tuner.Search.run ~jobs:!jobs ~app_name:"sad" ((registry "sad").quick_candidates ()) in
+        let d = Tuner.Search.run ~jobs:!jobs ~app_name:"sad" ((registry "sad").candidates Quick) in
         check "interrupted sweep completes after restart, bit-identical" (same_explore d x)
       | _ -> check "interrupted sweep completes after restart, bit-identical" false);
       (match Srv.call ~socket P.Shutdown with
@@ -1422,15 +1421,16 @@ let prune () =
   printf "rule database: %d rule(s) feeding the rule-win feature\n%!" (List.length rules);
   let race ~jobs ~budget name =
     let e = registry name in
+    let cands = e.candidates Bench in
     let spec =
       Tuner.Prune.spec
         ~plan:{ Tuner.Prune.default_plan with Tuner.Prune.pl_budget_frac = budget }
         ~rules
-        ~reduced:(e.reduced_candidates ())
+        ~reduced:(Apps.Registry.race_candidates e ~arch:Gpu.Arch.g80 Bench cands)
         ()
     in
     let engine = Tuner.Measure.create ~app_name:name () in
-    Tuner.Prune.run ~jobs ~engine ~app_name:name spec (e.bench_candidates ())
+    Tuner.Prune.run ~jobs ~engine ~app_name:name spec cands
   in
   let rows =
     List.map

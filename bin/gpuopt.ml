@@ -45,8 +45,10 @@ let stats_arg =
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let candidates_of ?arch ?extra_ptx (e : Apps.Registry.entry) quick =
-  if quick then e.quick_candidates ?arch ?extra_ptx () else e.candidates ?arch ?extra_ptx ()
+(* [--quick] selects the smoke-test scale; the store names the other
+   one "full". *)
+let scale_of quick = if quick then Apps.App.Quick else Apps.App.Paper
+let store_scale quick = if quick then "quick" else "full"
 
 (* Shared by explore/tune: append the verified peephole pass, built from
    a (store-cached) superoptimizer discovery run on the target arch. *)
@@ -269,10 +271,10 @@ let explore_cmd =
       let rs =
         with_store store_file (fun store ->
             Tuner.Search.run_archs ~jobs ~fail_fast ?store
-              ~store_scale:(if quick then "quick" else "full")
+              ~store_scale:(store_scale quick)
               ~app_name:e.name ~archs:Gpu.Arch.archs
               (fun arch ->
-                candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick))
+                e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick)))
       in
       print_string (Tuner.Report.arch_winner_table rs);
       Printf.printf "\n";
@@ -288,23 +290,20 @@ let explore_cmd =
         with_store store_file (fun store ->
             let db = rules_db ?store ~jobs rules arch in
             let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
+            let cands = e.candidates ~arch ?extra_ptx (scale_of quick) in
             let pspec =
               if not predict then None
               else
-                (* A quick target IS the reduced shape already: race it
-                   against itself rather than a larger space. *)
                 let reduced =
-                  if quick then candidates_of ~arch ?extra_ptx e quick
-                  else e.reduced_candidates ~arch ?extra_ptx ()
+                  Apps.Registry.race_candidates e ~arch ?extra_ptx (scale_of quick) cands
                 in
                 Some
                   (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
             in
             Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
               ?budget_frac:(budget_frac budget)
-              ~store_scale:(if quick then "quick" else "full")
-              ~app_name:e.name
-              (candidates_of ~arch ?extra_ptx e quick))
+              ~store_scale:(store_scale quick)
+              ~app_name:e.name cands)
       with
       | Tuner.Fault.Fail { desc; fault } ->
         Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
@@ -364,8 +363,8 @@ let predict_cmd =
     with_store store_file (fun store ->
         let db = rules_db ?store ~jobs rules arch in
         let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
-        let cands = candidates_of ~arch ?extra_ptx e quick in
-        let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
+        let cands = e.candidates ~arch ?extra_ptx (scale_of quick) in
+        let reduced = Apps.Registry.race_candidates e ~arch ?extra_ptx (scale_of quick) cands in
         let plan =
           match budget_frac budget with
           | None -> Tuner.Prune.default_plan
@@ -374,7 +373,7 @@ let predict_cmd =
         let spec =
           Tuner.Prune.spec ~plan ~rules:(Option.value db ~default:[]) ~reduced ()
         in
-        let scale = if quick then "quick" else "full" in
+        let scale = store_scale quick in
         let engine = Tuner.Measure.create ~app_name:e.name () in
         Tuner.Search.bind_store engine ~app_name:e.name cands ~store ~store_key:None
           ~store_scale:(Some scale);
@@ -449,13 +448,13 @@ let chaos_cmd =
              and resume checks still apply).")
   in
   let run (e : Apps.Registry.entry) jobs quick seed nfaults hit_frontier =
-    let cands = candidates_of e quick in
+    let cands = e.candidates (scale_of quick) in
     let failures = ref 0 in
     let check name ok =
       if not ok then incr failures;
       Printf.printf "CHECK %-52s %s\n" name (if ok then "ok" else "FAIL")
     in
-    let fault_key ((c : Tuner.Candidate.t), f) = (c.desc, Tuner.Fault.to_journal f) in
+    let fault_key ((c : Tuner.Candidate.t), f) = (c.desc, Tuner.Fault.encode f) in
     let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
     (* Fault-free baseline: the ground truth the injected runs must
        still recover on the surviving part of the space. *)
@@ -567,9 +566,9 @@ let tune_cmd =
             (fun (arch : Gpu.Arch.t) ->
               let tuned =
                 Tuner.Search.tune_full ~jobs ?store
-                  ~store_scale:(if quick then "quick" else "full")
+                  ~store_scale:(store_scale quick)
                   ~app_name:e.name
-                  (candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick)
+                  (e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick))
               in
               winner_line arch tuned.Tuner.Search.chosen)
             Gpu.Arch.archs);
@@ -578,12 +577,12 @@ let tune_cmd =
     let arch = resolve_arch arch_name in
     let cands =
       with_store store_file (fun store ->
-          candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick)
+          e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick))
     in
     let tuned =
       with_store store_file (fun store ->
           Tuner.Search.tune_full ~jobs ?store
-            ~store_scale:(if quick then "quick" else "full")
+            ~store_scale:(store_scale quick)
             ~app_name:e.name cands)
     in
     let best = tuned.Tuner.Search.chosen and selected = tuned.Tuner.Search.considered in
@@ -696,25 +695,21 @@ let lint_cmd =
       & info [ "crossval" ]
           ~doc:"Cross-validate static predictions against the simulator's dynamic counters.")
   in
-  let mutation (wb : Apps.Workbench.t) = function
-    | `Race -> (
-      (* Drop an interior barrier when there is one (the classic
-         tile-loop race); kernels with a single barrier lose that. *)
-      try Kir.Mutate.drop_sync ~index:1 with Kir.Mutate.Mutate_error _ -> Kir.Mutate.drop_sync ~index:0)
-    | `Bank -> (
-      match wb.Apps.Workbench.wb_kernel.Kir.Ast.shared_decls with
-      | (arr, _) :: _ -> Kir.Mutate.transpose_store ~array:arr
-      | [] -> failwith (wb.Apps.Workbench.wb_app ^ " uses no shared memory; nothing to mutate"))
-  in
   let run (e : Apps.Registry.entry) config mutate crossval arch_name =
     let arch = resolve_arch arch_name in
+    let fail msg = prerr_endline msg; exit 1 in
     match e.workbench ~arch ?config () with
-    | Error msg -> prerr_endline msg; exit 1
+    | Error msg -> fail msg
     | Ok wb ->
+      let mutant =
+        Option.map
+          (fun m -> match Apps.Workbench.mutation wb m with Ok f -> f | Error msg -> fail msg)
+          mutate
+      in
       let report =
-        match mutate with
+        match mutant with
         | None -> Apps.Workbench.lint wb
-        | Some m -> Apps.Workbench.lint_mutant wb (mutation wb m)
+        | Some f -> Apps.Workbench.lint_mutant wb f
       in
       print_string (Analysis.Lint.render report);
       (* Dead-store lint ([Ptx.Liveness.dead_defs]): instructions whose
@@ -742,7 +737,7 @@ let lint_cmd =
         Printf.printf "\ncross-validation against the simulator:\n";
         print_string
           (Analysis.Crossval.render
-             (Apps.Workbench.crossval ?mutate:(Option.map (mutation wb) mutate) wb))
+             (Apps.Workbench.crossval ?mutate:mutant wb))
       end;
       if Analysis.Lint.has_errors report then exit 1
   in

@@ -10,11 +10,11 @@
 
 let () =
   let nsamples = 32 and nvox = 6720 in
-  let p = Apps.Mri_fhd.setup ~nsamples ~nvox () in
+  let app = Apps.Mri_fhd.app and size = { Apps.Mri_fhd.nsamples; nvox; max_blocks = 3 } in
   Printf.printf "MRI F^H d: %d voxels x %d k-space samples\n\n" nvox nsamples;
 
   (* Tune with the Pareto methodology. *)
-  let cands = Apps.Mri_fhd.candidates ~nsamples ~nvox ~max_blocks:3 () in
+  let cands = Apps.App.candidates app size in
   let best, selected = Tuner.Search.tune ~app_name:"mri" cands in
   Printf.printf "pruned search measured %d of %d configurations; chose %s (%.3f ms)\n"
     (List.length selected)
@@ -42,15 +42,7 @@ let () =
     Option.get
       (Tuner.Space.find ~describe:Apps.Mri_fhd.describe Apps.Mri_fhd.space best.cand.desc)
   in
-  let ptx = (Apps.Mri_fhd.compile ~nsamples ~nvox cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (Apps.Mri_fhd.launch_of p cfg ptx));
-  let got_re = Gpu.Device.of_device p.dev p.outre in
-  let want_re, _ = Apps.Mri_fhd.cpu_reference p in
-  let ok = ref true in
-  Array.iteri
-    (fun i g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want_re.(i)) then ok := false)
-    got_re;
-  Printf.printf "\nfunctional validation of the winner: %b\n" !ok;
+  Printf.printf "\nfunctional validation of the winner: %b\n" (Apps.App.validate app size cfg);
 
   (* Throughput: each (voxel, sample) pair costs ~14 flops + sincos. *)
   let interactions = float_of_int (nvox * nsamples) in

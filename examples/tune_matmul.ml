@@ -10,9 +10,9 @@
    Run with:  dune exec examples/tune_matmul.exe *)
 
 let () =
-  let n = 256 in
-  Printf.printf "Matrix multiplication, %dx%d, full optimization space\n\n" n n;
-  let cands = Apps.Matmul.candidates ~n ~max_blocks:8 () in
+  let size = Apps.Matmul.sizes Bench in
+  Printf.printf "Matrix multiplication, %dx%d, full optimization space\n\n" size.n size.n;
+  let cands = Apps.App.candidates Apps.Matmul.app size in
   let valid = List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands in
   Printf.printf "%d configurations compiled (%d invalid)\n" (List.length cands)
     (List.length cands - List.length valid);
@@ -54,4 +54,4 @@ let () =
     Option.get
       (Tuner.Space.find ~describe:Apps.Matmul.describe Apps.Matmul.space r.best.cand.desc)
   in
-  Printf.printf "functional validation of the winner: %b\n" (Apps.Matmul.validate ~n:64 cfg)
+  Printf.printf "functional validation of the winner: %b\n" (Apps.Matmul.validate cfg)

@@ -10,12 +10,13 @@
 
 let () =
   let w = 96 and h = 64 and sr = 4 in
-  let p = Apps.Sad.setup ~w ~h ~sr () in
+  let app = Apps.Sad.app and size = { Apps.Sad.w; h; sr; max_blocks = 8 } in
+  let p = Apps.Sad.setup size in
   Printf.printf "frames: %dx%d, search +-%d (global motion in the input: +3,-2)\n\n" w h sr;
 
   (* Tune on a reduced space (the full sweep lives in bench/). *)
   let cands =
-    Apps.Sad.candidates ~w ~h ~sr ~max_blocks:8 ()
+    Apps.App.candidates app size
     |> List.filter (fun (c : Tuner.Candidate.t) ->
            (* keep a manageable slice: one unroll setting per loop *)
            List.assoc "unroll py" c.params = "4" && List.assoc "unroll px" c.params = "4")
@@ -28,8 +29,8 @@ let () =
   let cfg =
     Option.get (Tuner.Space.find ~describe:Apps.Sad.describe Apps.Sad.space best.cand.desc)
   in
-  let ptx = (Apps.Sad.compile ~w ~h ~sr cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (Apps.Sad.launch_of p cfg ptx));
+  let ptx = (Apps.App.compile app size cfg).ptx in
+  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (Apps.App.launch app p cfg ptx));
   let sads = Gpu.Device.of_device p.dev p.sads in
 
   (* Extract the best motion vector per macroblock. *)

@@ -44,9 +44,21 @@ let describe (c : config) =
    pass, so the schedule is the bare default pipeline. *)
 let schedule (_ : config) : Tuner.Pipeline.schedule = Tuner.Pipeline.default_schedule
 
+(* Problem sizes: the grid slice, the atom count and the timing mode's
+   per-SM block cap.  [Reduced] cuts only the atoms, the loop each
+   thread iterates over, and keeps the grid and block cap (see
+   [App]). *)
+type size = { npx : int; npy : int; natoms : int; max_blocks : int }
+
+let sizes : App.scale -> size = function
+  | Paper | Bench -> { npx = 2048; npy = 128; natoms = 128; max_blocks = 8 }
+  | Reduced -> { npx = 2048; npy = 128; natoms = 8; max_blocks = 8 }
+  | Quick -> { npx = 256; npy = 16; natoms = 16; max_blocks = 2 }
+  | Check -> { npx = 256; npy = 16; natoms = 32; max_blocks = 2 }
+
 (* Atom data layout in constant memory: [x; y; z; q] per atom.  The
    grid slice lies at z = z0 with unit spacing scaled by [1/scale]. *)
-let kernel ~natoms (c : config) : kernel =
+let kernel ({ natoms; _ } : size) (c : config) : kernel =
   let t = c.tiling in
   let sums = List.init t (fun j -> Printf.sprintf "pot%d" j) in
   (* Point x-coordinates per accumulator.  Coalesced: thread [tid_x]
@@ -120,26 +132,19 @@ type problem = {
   hatoms : float array;
 }
 
-let default_npx = 2048
-let default_npy = 128
-let default_natoms = 128
-
-let setup ?(npx = default_npx) ?(npy = default_npy) ?(natoms = default_natoms) ?(seed = 13) ()
-    : problem =
+let setup ({ npx; npy; natoms; _ } : size) : problem =
   let dev = Gpu.Device.create ~global_words:(2 * npx * npy) () in
   let atoms_buf = Gpu.Device.alloc_const dev (4 * natoms) in
   let out = Gpu.Device.alloc dev (npx * npy) in
   let scale = Util.Float32.round 0.1 in
-  let hatoms = Workload.atoms ~seed ~n:natoms ~extent:(float_of_int npx *. scale) () in
+  let hatoms = Workload.atoms ~seed:13 ~n:natoms ~extent:(float_of_int npx *. scale) () in
   Gpu.Device.to_device dev atoms_buf hatoms;
   { npx; npy; natoms; scale; z0 = Util.Float32.round 0.5; dev; atoms = atoms_buf; out; hatoms }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
   ((p.npx / (block_x * c.tiling), p.npy / c.block_y), (block_x, c.block_y))
 
-let args_of (p : problem) : (string * Gpu.Sim.arg) list =
+let args (p : problem) : (string * Gpu.Sim.arg) list =
   [
     ("npx", Gpu.Sim.I p.npx);
     ("scale", Gpu.Sim.F p.scale);
@@ -147,31 +152,6 @@ let args_of (p : problem) : (string * Gpu.Sim.arg) list =
     ("atoms", Gpu.Sim.Buf p.atoms);
     ("V", Gpu.Sim.Buf p.out);
   ]
-
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
-
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(natoms = default_natoms) ?verify ?hook ?analyze (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~natoms c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(npx = default_npx) ?(npy = default_npy)
-    ?(natoms = default_natoms) ?(max_blocks = 8) () : Tuner.Candidate.t list =
-  let p = setup ~npx ~npy ~natoms () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~natoms cfg)
-    ~threads_per_block:(fun cfg -> block_x * cfg.block_y)
-    ~threads_total:(fun cfg -> npx / cfg.tiling * npy)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
 
 (* Single-thread CPU reference: the same math with sqrt+divide (the SFU
    rsqrt shortcut is a GPU feature). *)
@@ -202,17 +182,26 @@ let cpu_reference (p : problem) : float array =
   done;
   out
 
-let validate ?(npx = 256) ?(npy = 16) ?(natoms = 32) (cfg : config) : bool =
-  let p = setup ~npx ~npy ~natoms () in
-  let ptx = (compile ~natoms cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.out in
-  let want = cpu_reference p in
-  let ok = ref true in
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want.(idx)) then ok := false)
-    got;
-  !ok
+let app : (config, size, problem) App.t =
+  {
+    name = "cp";
+    display = "CP";
+    title = "coulombic potential over a grid slice (Figure 5)";
+    space;
+    describe;
+    schedule;
+    kernel;
+    sizes;
+    max_blocks = (fun s -> s.max_blocks);
+    setup;
+    dev = (fun p -> p.dev);
+    launch_shape;
+    args;
+    reference = (fun p -> [ (p.out, cpu_reference p) ]);
+    tolerance = (1e-3, 1e-3);
+  }
+
+let validate cfg = App.validate app (sizes Check) cfg
 
 (* Pairwise interactions for Table 3 accounting. *)
-let interactions (p : problem) = float_of_int (p.npx * p.npy * p.natoms)
+let interactions ({ npx; npy; natoms; _ } : size) = float_of_int (npx * npy * natoms)

@@ -63,10 +63,22 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
     ptx_passes = default_ptx_passes;
   }
 
+(* Problem sizes: the matrix extent and the timing mode's per-SM block
+   cap.  The bench harness halves the paper's extent so its exhaustive
+   sweep stays tractable; [Reduced] shrinks the extent further (see
+   [App] for the ordering-fidelity rule) at the bench block cap. *)
+type size = { n : int; max_blocks : int }
+
+let sizes : App.scale -> size = function
+  | Paper -> { n = 512; max_blocks = 12 }
+  | Bench -> { n = 256; max_blocks = 8 }
+  | Reduced -> { n = 128; max_blocks = 8 }
+  | Quick | Check -> { n = 64; max_blocks = 2 }
+
 (* The baseline KIR kernel for a (tile, rect) shape: block (tile x
    tile); each thread accumulates [rect] outputs whose columns are
    [col + r*tile].  Shared tiles: As[tile][tile], Bs[tile][tile*rect]. *)
-let kernel ~n (c : config) : kernel =
+let kernel ({ n; _ } : size) (c : config) : kernel =
   let t = c.tile and r = c.rect in
   let sums = List.init r (fun j -> Printf.sprintf "sum%d" j) in
   let base =
@@ -144,85 +156,56 @@ type problem = {
   hb : float array;
 }
 
-let default_n = 512
-
-let setup ?(n = default_n) ?(seed = 11) () : problem =
+let setup ({ n; _ } : size) : problem =
   let dev = Gpu.Device.create ~global_words:(4 * n * n) () in
   let a = Gpu.Device.alloc dev (n * n) in
   let b = Gpu.Device.alloc dev (n * n) in
   let c = Gpu.Device.alloc dev (n * n) in
-  let ha = Workload.matrix ~seed n in
-  let hb = Workload.matrix ~seed:(seed + 1) n in
+  let ha = Workload.matrix ~seed:11 n in
+  let hb = Workload.matrix ~seed:12 n in
   Gpu.Device.to_device dev a ha;
   Gpu.Device.to_device dev b hb;
   { n; dev; a; b; c; ha; hb }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (cfg : config) : (int * int) * (int * int) =
   ((p.n / (cfg.tile * cfg.rect), p.n / cfg.tile), (cfg.tile, cfg.tile))
 
-let args_of (p : problem) : (string * Gpu.Sim.arg) list =
+let args (p : problem) : (string * Gpu.Sim.arg) list =
   [ ("A", Gpu.Sim.Buf p.a); ("B", Gpu.Sim.Buf p.b); ("C", Gpu.Sim.Buf p.c) ]
-
-let launch_of (p : problem) (cfg : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p cfg in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
-
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (cfg : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p cfg in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-(* The one compile entry point: [schedule c] applied to the base kernel
-   through the verified pipeline. *)
-let compile ?(n = default_n) ?verify ?hook ?analyze (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~n c)
-
-(* Build the full candidate list for the tuner: compile every
-   configuration through the pipeline, characterize it statically, and
-   provide a simulated measurement thunk. *)
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(n = default_n) ?(max_blocks = 12) () :
-    Tuner.Candidate.t list =
-  let p = setup ~n () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~n cfg)
-    ~threads_per_block:(fun cfg -> cfg.tile * cfg.tile)
-    ~threads_total:(fun cfg -> n / cfg.rect * n)
-    ~run:(fun cfg ptx () ->
-      (* Run against a private clone of the staged device: measurement
-         thunks may execute on concurrent domains (Search ~jobs). *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
 
 (* Single-thread CPU reference (binary32 semantics, same accumulation
    order as the kernel: k-major). *)
-let cpu_reference ~n (ha : float array) (hb : float array) : float array =
+let cpu_reference (p : problem) : float array =
+  let n = p.n in
   let out = Array.make (n * n) 0.0 in
   for row = 0 to n - 1 do
     for col = 0 to n - 1 do
       let s = ref 0.0 in
       for k = 0 to n - 1 do
-        s := Util.Float32.mad ha.((row * n) + k) hb.((k * n) + col) !s
+        s := Util.Float32.mad p.ha.((row * n) + k) p.hb.((k * n) + col) !s
       done;
       out.((row * n) + col) <- !s
     done
   done;
   out
 
-(* Functional validation of one configuration against the reference.
-   Compiles through the same pipeline as [candidates], so the validated
-   kernel can never diverge from the measured one. *)
-let validate ?(n = 64) (cfg : config) : bool =
-  let p = setup ~n () in
-  let ptx = (compile ~n cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.c in
-  let want = cpu_reference ~n p.ha p.hb in
-  let ok = ref true in
-  Array.iteri (fun idx g -> if not (Util.Float32.close g want.(idx)) then ok := false) got;
-  !ok
+let app : (config, size, problem) App.t =
+  {
+    name = "matmul";
+    display = "Matrix Multiplication";
+    title = "dense matrix multiplication (paper's running example, Figure 3)";
+    space;
+    describe;
+    schedule;
+    kernel;
+    sizes;
+    max_blocks = (fun s -> s.max_blocks);
+    setup;
+    dev = (fun p -> p.dev);
+    launch_shape;
+    args;
+    reference = (fun p -> [ (p.c, cpu_reference p) ]);
+    tolerance = (1e-4, 1e-5);
+  }
 
-(* Useful work for Table 3: 2*N^3 flops. *)
-let flops ~n = 2.0 *. (float_of_int n ** 3.0)
+let validate cfg = App.validate app (sizes Check) cfg

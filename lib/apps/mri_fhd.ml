@@ -56,10 +56,25 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
 
 let two_pi = Util.Float32.round (2.0 *. Float.pi)
 
+(* Problem sizes: k-space samples, voxels and the timing mode's per-SM
+   block cap.  107520 = 420 * 256 voxels: divisible by every wpt in
+   1..7 and large enough that even the smallest grids (wpt = 7,
+   256-thread blocks) still give every SM several blocks, so cluster
+   members differ only through real machine effects.  [Reduced] cuts
+   only the samples, the loop each thread iterates over, and keeps the
+   voxels and block cap (see [App]). *)
+type size = { nsamples : int; nvox : int; max_blocks : int }
+
+let sizes : App.scale -> size = function
+  | Paper | Bench -> { nsamples = 64; nvox = 107520; max_blocks = 3 }
+  | Reduced -> { nsamples = 16; nvox = 107520; max_blocks = 3 }
+  | Quick -> { nsamples = 8; nvox = 3360; max_blocks = 1 }
+  | Check -> { nsamples = 16; nvox = 840; max_blocks = 1 }
+
 (* Sample layout in constant memory: [kx; ky; kz; re; im] per sample.
    Voxel coordinates are three global arrays; outputs two global
    arrays. *)
-let kernel ~nsamples ~nvox (c : config) : kernel =
+let kernel ({ nsamples; nvox; _ } : size) (c : config) : kernel =
   let base =
     {
       kname = "mri_" ^ String.map (function '/' -> '_' | ch -> ch) (describe c);
@@ -134,15 +149,7 @@ type problem = {
   hvz : float array;
 }
 
-let default_nsamples = 64
-
-(* 107520 = 420 * 256: divisible by every wpt in 1..7 and large enough
-   that even the smallest grids (wpt = 7, 256-thread blocks) still give
-   every SM several blocks, so cluster members differ only through real
-   machine effects. *)
-let default_nvox = 107520
-
-let setup ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?(seed = 19) () : problem =
+let setup ({ nsamples; nvox; _ } : size) : problem =
   let dev = Gpu.Device.create ~global_words:(8 * nvox) () in
   let samp = Gpu.Device.alloc_const dev (5 * nsamples) in
   let vx = Gpu.Device.alloc dev nvox in
@@ -150,7 +157,7 @@ let setup ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?(seed = 19) () 
   let vz = Gpu.Device.alloc dev nvox in
   let outre = Gpu.Device.alloc dev nvox in
   let outim = Gpu.Device.alloc dev nvox in
-  let hsamp = Workload.mri_samples ~seed ~n:nsamples () in
+  let hsamp = Workload.mri_samples ~seed:19 ~n:nsamples () in
   let hvx, hvy, hvz = Workload.mri_voxels ~n:nvox in
   Gpu.Device.to_device dev samp hsamp;
   Gpu.Device.to_device dev vx hvx;
@@ -158,13 +165,11 @@ let setup ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?(seed = 19) () 
   Gpu.Device.to_device dev vz hvz;
   { nsamples; nvox; dev; samp; vx; vy; vz; outre; outim; hsamp; hvx; hvy; hvz }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
   let threads = p.nvox / c.wpt in
   ((Util.Stats.cdiv threads c.tpb, 1), (c.tpb, 1))
 
-let args_of (p : problem) : (string * Gpu.Sim.arg) list =
+let args (p : problem) : (string * Gpu.Sim.arg) list =
   [
     ("samp", Gpu.Sim.Buf p.samp);
     ("vx", Gpu.Sim.Buf p.vx);
@@ -173,32 +178,6 @@ let args_of (p : problem) : (string * Gpu.Sim.arg) list =
     ("outre", Gpu.Sim.Buf p.outre);
     ("outim", Gpu.Sim.Buf p.outim);
   ]
-
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
-
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?verify ?hook ?analyze
-    (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~nsamples ~nvox c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(nsamples = default_nsamples)
-    ?(nvox = default_nvox) ?(max_blocks = 3) () : Tuner.Candidate.t list =
-  let p = setup ~nsamples ~nvox () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~nsamples ~nvox cfg)
-    ~threads_per_block:(fun cfg -> cfg.tpb)
-    ~threads_total:(fun cfg -> Util.Stats.cdiv (nvox / cfg.wpt) cfg.tpb * cfg.tpb)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
 
 (* Single-thread CPU reference. *)
 let cpu_reference (p : problem) : float array * float array =
@@ -220,21 +199,29 @@ let cpu_reference (p : problem) : float array * float array =
   done;
   (re, im)
 
-let validate ?(nsamples = 16) ?(nvox = 840) (cfg : config) : bool =
-  let p = setup ~nsamples ~nvox () in
-  let ptx = (compile ~nsamples ~nvox cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got_re = Gpu.Device.of_device p.dev p.outre in
-  let got_im = Gpu.Device.of_device p.dev p.outim in
-  let want_re, want_im = cpu_reference p in
-  let ok = ref true in
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want_re.(idx)) then ok := false)
-    got_re;
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want_im.(idx)) then ok := false)
-    got_im;
-  !ok
+let app : (config, size, problem) App.t =
+  {
+    name = "mri";
+    display = "MRI-FHD";
+    title = "F^H d for non-Cartesian MRI reconstruction (Figure 6(b))";
+    space;
+    describe;
+    schedule;
+    kernel;
+    sizes;
+    max_blocks = (fun s -> s.max_blocks);
+    setup;
+    dev = (fun p -> p.dev);
+    launch_shape;
+    args;
+    reference =
+      (fun p ->
+        let re, im = cpu_reference p in
+        [ (p.outre, re); (p.outim, im) ]);
+    tolerance = (1e-3, 1e-3);
+  }
+
+let validate cfg = App.validate app (sizes Check) cfg
 
 (* (voxel, sample) interactions for Table 3 accounting. *)
-let interactions (p : problem) = float_of_int (p.nvox * p.nsamples)
+let interactions ({ nsamples; nvox; _ } : size) = float_of_int (nvox * nsamples)

@@ -4,9 +4,9 @@
 
    Each entry erases the app's config type behind closures: the space
    metadata (axes, constraints, cardinality) for `gpuopt inspect`, the
-   candidate builders at three problem sizes (full paper-scale,
-   quick smoke-test, bench harness), and a by-description compile
-   entry point that drives the traced pipeline. *)
+   candidate builder at any [App.scale], a by-description compile
+   entry point that drives the traced pipeline, and the lint
+   workbench. *)
 
 type entry = {
   name : string;  (* CLI name, e.g. "matmul" *)
@@ -17,105 +17,55 @@ type entry = {
   cardinality : int;  (* after validity constraints; Table 4 *)
   configs : string list Lazy.t;  (* all descriptions, enumeration order *)
   candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* paper-scale problem; [extra_ptx] appends passes (e.g. the
-         verified peephole leg) to every candidate's schedule *)
-  quick_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* tiny smoke-test problem ([Workbench.Smoke]) *)
-  reduced_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* the shared reduced race/lint shape ([Workbench.Reduced]):
-         sequential work cut down, parallel grid at full scale, so the
-         predictor's halving race ranks candidates faithfully *)
-  bench_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* bench-harness problem *)
+    ?arch:Gpu.Arch.t ->
+    ?extra_ptx:Tuner.Pipeline.ptx_pass list ->
+    App.scale ->
+    Tuner.Candidate.t list;
+      (* the whole space at one problem scale; [extra_ptx] appends
+         passes (e.g. the verified peephole leg) to every candidate's
+         schedule *)
   compile :
     ?verify:bool ->
     ?hook:(Tuner.Pipeline.stat -> unit) ->
-    ?analyze:Tuner.Pipeline.analysis_input ->
     string ->
     (Tuner.Pipeline.compiled, string) result;
-      (* compile one configuration, selected by its description *)
+      (* compile one paper-scale configuration, selected by its
+         description *)
   workbench : ?arch:Gpu.Arch.t -> ?config:string -> unit -> (Workbench.t, string) result;
-      (* quick-scale problem + compiled default (or named) config, for
-         the static analyzer and its cross-validation harness *)
+      (* the [Reduced] problem + compiled default (or named) config,
+         for the static analyzer and its cross-validation harness *)
 }
 
-let entry (type c) ~name ~display ~title ~(space : c Tuner.Space.t) ~(describe : c -> string)
-    ~(compile :
-        ?verify:bool ->
-        ?hook:(Tuner.Pipeline.stat -> unit) ->
-        ?analyze:Tuner.Pipeline.analysis_input ->
-        c ->
-        Tuner.Pipeline.compiled) ~workbench ~candidates ~quick ~reduced ~bench () : entry =
+let entry (type c s p) (app : (c, s, p) App.t) : entry =
   {
-    name;
-    display;
-    title;
-    axes = Tuner.Space.axes space;
-    constraints = Tuner.Space.constraints space;
-    cardinality = Tuner.Space.cardinality space;
-    configs = lazy (List.map describe (Tuner.Space.configs space));
-    candidates;
-    quick_candidates = quick;
-    reduced_candidates = reduced;
-    bench_candidates = bench;
+    name = app.name;
+    display = app.display;
+    title = app.title;
+    axes = Tuner.Space.axes app.space;
+    constraints = Tuner.Space.constraints app.space;
+    cardinality = Tuner.Space.cardinality app.space;
+    configs = lazy (List.map app.describe (Tuner.Space.configs app.space));
+    candidates =
+      (fun ?arch ?extra_ptx scale -> App.candidates ?arch ?extra_ptx app (app.sizes scale));
     compile =
-      (fun ?verify ?hook ?analyze desc ->
-        match Tuner.Space.find ~describe space desc with
-        | Some cfg -> Ok (compile ?verify ?hook ?analyze cfg)
-        | None -> Error (Printf.sprintf "%s: no configuration %S" name desc));
-    workbench;
+      (fun ?verify ?hook desc ->
+        match Tuner.Space.find ~describe:app.describe app.space desc with
+        | Some cfg -> Ok (App.compile ?verify ?hook app (app.sizes Paper) cfg)
+        | None -> Error (Printf.sprintf "%s: no configuration %S" app.name desc));
+    workbench = (fun ?arch ?config () -> App.workbench ?arch ?config ~scale:Reduced app);
   }
 
-let matmul =
-  entry ~name:"matmul" ~display:"Matrix Multiplication"
-    ~title:"dense matrix multiplication (paper's running example, Figure 3)" ~space:Matmul.space
-    ~describe:Matmul.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Matmul.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.matmul ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Matmul.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.matmul ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.matmul ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Matmul.candidates ?arch ?extra_ptx ~n:256 ~max_blocks:8 ())
-    ()
-
-let cp =
-  entry ~name:"cp" ~display:"CP" ~title:"coulombic potential over a grid slice (Figure 5)"
-    ~space:Cp.space ~describe:Cp.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Cp.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.cp ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Cp.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.cp ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.cp ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Cp.candidates ?arch ?extra_ptx ())
-    ()
-
-let sad =
-  entry ~name:"sad" ~display:"SAD" ~title:"sums of absolute differences for motion estimation (Figure 4)"
-    ~space:Sad.space ~describe:Sad.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Sad.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.sad ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Sad.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.sad ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.sad ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Sad.candidates ?arch ?extra_ptx ())
-    ()
-
-let mri_fhd =
-  entry ~name:"mri" ~display:"MRI-FHD" ~title:"F^H d for non-Cartesian MRI reconstruction (Figure 6(b))"
-    ~space:Mri_fhd.space ~describe:Mri_fhd.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Mri_fhd.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.mri ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Mri_fhd.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.mri ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.mri ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Mri_fhd.candidates ?arch ?extra_ptx ())
-    ()
-
 (* Enumeration order is the paper's Table 4 order. *)
-let all = [ matmul; cp; sad; mri_fhd ]
+let all = [ entry Matmul.app; entry Cp.app; entry Sad.app; entry Mri_fhd.app ]
 let names = List.map (fun e -> e.name) all
 let find n = List.find_opt (fun e -> String.equal e.name n) all
+
+(* The list [Tuner.Prune]'s race runs on for a sweep of [cands] at
+   [scale]: the [Reduced] shape on the same arch and schedule, so
+   served predict-explores race exactly what the CLI and the lint
+   workbenches use.  A quick (or reduced) target already is a reduced
+   shape, so it races against itself. *)
+let race_candidates e ~arch ?extra_ptx (scale : App.scale) cands =
+  match scale with
+  | Paper | Bench -> e.candidates ~arch ?extra_ptx Reduced
+  | Quick | Reduced | Check -> cands

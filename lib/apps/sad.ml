@@ -74,10 +74,24 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
    candidates per macroblock. *)
 let mb = 4
 
+(* Problem sizes: frame dimensions, search radius and the timing
+   mode's per-SM block cap.  The paper's QCIF frames with a reduced
+   search radius keep full-space simulation tractable (the paper
+   likewise used smaller-than-typical inputs).  [Reduced] keeps the
+   radius, which sets the candidate vectors each block covers, and the
+   block cap, on a smaller frame (see [App]). *)
+type size = { w : int; h : int; sr : int; max_blocks : int }
+
+let sizes : App.scale -> size = function
+  | Paper | Bench -> { w = 176; h = 144; sr = 8; max_blocks = 8 }
+  | Reduced -> { w = 48; h = 32; sr = 8; max_blocks = 8 }
+  | Quick -> { w = 32; h = 16; sr = 2; max_blocks = 2 }
+  | Check -> { w = 32; h = 16; sr = 4; max_blocks = 2 }
+
 (* Generate the kernel for frame dimensions (w, h) and search radius
    [sr].  Grid: (number of macroblocks, chunks of candidate vectors).
    Block: [tpb] threads in x. *)
-let kernel ~w ~h ~sr (c : config) : kernel =
+let kernel ({ w; h; sr; _ } : size) (c : config) : kernel =
   let side = 2 * sr in
   let nvec = side * side in
   let mbx = w / mb in
@@ -181,64 +195,27 @@ type problem = {
   href : float array;
 }
 
-(* QCIF frames, as in the paper; reduced search radius keeps full-space
-   simulation tractable (the paper likewise used smaller-than-typical
-   inputs). *)
-let default_w = 176
-let default_h = 144
-let default_sr = 8
-
-let setup ?(w = default_w) ?(h = default_h) ?(sr = default_sr) ?(seed = 17) () : problem =
+let setup ({ w; h; sr; _ } : size) : problem =
   let mbs = w / mb * (h / mb) in
   let nvec = 4 * sr * sr in
   let dev = Gpu.Device.create ~global_words:((2 * w * h) + (mbs * nvec)) () in
   let cur = Gpu.Device.alloc dev (w * h) in
   let reff = Gpu.Device.alloc dev (w * h) in
   let sads = Gpu.Device.alloc dev (mbs * nvec) in
-  let hcur = Workload.frame ~seed ~width:w ~height:h ~shift_x:0 ~shift_y:0 () in
-  let href = Workload.frame ~seed ~width:w ~height:h ~shift_x:3 ~shift_y:(-2) () in
+  let hcur = Workload.frame ~seed:17 ~width:w ~height:h ~shift_x:0 ~shift_y:0 () in
+  let href = Workload.frame ~seed:17 ~width:w ~height:h ~shift_x:3 ~shift_y:(-2) () in
   Gpu.Device.to_device dev cur hcur;
   Gpu.Device.to_device dev reff href;
   { w; h; sr; dev; cur; reff; sads; hcur; href }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
   let mbs = p.w / mb * (p.h / mb) in
   let nvec = 4 * p.sr * p.sr in
   let chunks = Util.Stats.cdiv nvec (c.tpb * c.tiling) in
   ((mbs, chunks), (c.tpb, 1))
 
-let args_of (p : problem) : (string * Gpu.Sim.arg) list =
+let args (p : problem) : (string * Gpu.Sim.arg) list =
   [ ("cur", Gpu.Sim.Buf p.cur); ("reff", Gpu.Sim.Buf p.reff); ("sads", Gpu.Sim.Buf p.sads) ]
-
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
-
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(w = default_w) ?(h = default_h) ?(sr = default_sr) ?verify ?hook ?analyze
-    (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~w ~h ~sr c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(w = default_w) ?(h = default_h)
-    ?(sr = default_sr) ?(max_blocks = 8) () : Tuner.Candidate.t list =
-  let p = setup ~w ~h ~sr () in
-  let nvec = 4 * sr * sr in
-  let mbs = w / mb * (h / mb) in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~w ~h ~sr cfg)
-    ~threads_per_block:(fun cfg -> cfg.tpb)
-    ~threads_total:(fun cfg -> mbs * Util.Stats.cdiv nvec (cfg.tpb * cfg.tiling) * cfg.tpb)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
 
 (* Single-thread CPU reference. *)
 let cpu_reference (p : problem) : float array =
@@ -265,16 +242,26 @@ let cpu_reference (p : problem) : float array =
   done;
   out
 
-let validate ?(w = 32) ?(h = 16) ?(sr = 4) (cfg : config) : bool =
-  let p = setup ~w ~h ~sr () in
-  let ptx = (compile ~w ~h ~sr cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.sads in
-  let want = cpu_reference p in
-  let ok = ref true in
-  Array.iteri (fun idx g -> if not (Util.Float32.close g want.(idx)) then ok := false) got;
-  !ok
+let app : (config, size, problem) App.t =
+  {
+    name = "sad";
+    display = "SAD";
+    title = "sums of absolute differences for motion estimation (Figure 4)";
+    space;
+    describe;
+    schedule;
+    kernel;
+    sizes;
+    max_blocks = (fun s -> s.max_blocks);
+    setup;
+    dev = (fun p -> p.dev);
+    launch_shape;
+    args;
+    reference = (fun p -> [ (p.sads, cpu_reference p) ]);
+    tolerance = (1e-4, 1e-5);
+  }
+
+let validate cfg = App.validate app (sizes Check) cfg
 
 (* Pixel-difference operations for Table 3 accounting. *)
-let absdiff_ops (p : problem) =
-  float_of_int (p.w / mb * (p.h / mb) * 4 * p.sr * p.sr * mb * mb)
+let absdiff_ops ({ w; h; sr; _ } : size) = float_of_int (w / mb * (h / mb) * 4 * sr * sr * mb * mb)

@@ -14,12 +14,14 @@
    The memo tables are filled under a lock and read-only afterwards, so
    connection-worker domains share them freely. *)
 
+let app_scale : Tuner.Proto.scale -> App.scale = function
+  | Quick -> Quick
+  | Bench -> Bench
+  | Full -> Paper
+
 let scale_candidates (e : Registry.entry) ~(arch : Gpu.Arch.t) (scale : Tuner.Proto.scale) :
     Tuner.Candidate.t list =
-  match scale with
-  | Tuner.Proto.Quick -> e.quick_candidates ~arch ()
-  | Tuner.Proto.Bench -> e.bench_candidates ~arch ()
-  | Tuner.Proto.Full -> e.candidates ~arch ()
+  e.candidates ~arch (app_scale scale)
 
 let unknown_app app =
   ( Tuner.Proto.Unknown_app,
@@ -66,16 +68,7 @@ let resolver () : Tuner.Serve.resolver =
               | Some k -> k
               | None -> Tuner.Store.candidate_key ~arch:arch_d ~space c
             in
-            (* The reduced race space is the registry's reduced builder
-               on the same arch — the shared [Workbench.Reduced] shapes,
-               so served predict-explores race exactly what the CLI and
-               the lint workbenches use.  A quick space already is a
-               reduced shape, so it races against itself. *)
-            let sp_reduced =
-              match scale with
-              | Tuner.Proto.Quick -> lazy cands
-              | Tuner.Proto.Bench | Tuner.Proto.Full -> lazy (e.reduced_candidates ~arch ())
-            in
+            let sp_reduced = lazy (Registry.race_candidates e ~arch (app_scale scale) cands) in
             let sp = { Tuner.Serve.sp_cands = cands; sp_store_key; sp_reduced } in
             Hashtbl.replace cache memo_key sp;
             Ok sp)

@@ -1,14 +1,15 @@
-(* Quick-scale analysis workbenches: one per application, bundling a
-   small staged problem, a chosen configuration compiled through the
-   pipeline's analyze stage, and the launch geometry the analyzer
-   reasoned about.  `gpuopt lint`, the bench harness's lint exhibit and
-   the cross-validation tests all start from here, so they agree on
-   problem sizes by construction.
+(* Analysis workbenches: a small staged problem, a chosen configuration
+   compiled through the pipeline's analyze stage, and the launch
+   geometry the analyzer reasoned about.  [App.workbench] builds one
+   for any app at any scale; `gpuopt lint`, the bench harness's lint
+   exhibit and the cross-validation tests all start from there, so
+   they agree on problem sizes by construction.
 
-   The problems are deliberately tiny (the matmul validation size, the
-   apps' own quick/smoke sizes): cross-validation replays every block
-   of the grid in the functional simulator, so the workbench scale is
-   what bounds its cost. *)
+   The problems are deliberately small (the registry's lint workbench
+   is the [Reduced] race shape, the sweep-heavy test batteries use
+   [Quick]): cross-validation replays every block of the grid in the
+   functional simulator, so the workbench scale is what bounds its
+   cost. *)
 
 type t = {
   wb_app : string;  (* registry name *)
@@ -58,198 +59,28 @@ let crossval ?mutate (wb : t) : Analysis.Crossval.t =
   in
   Analysis.Crossval.run ~dev:wb.wb_dev inp
 
-(* ------------------------------------------------------------------ *)
-(* Reduced launch shapes                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One definition of each app's reduced problem shape, shared by the
-   lint workbenches below, the registry's reduced candidate builders,
-   and the predictor's successive-halving race ([Tuner.Prune]).  The
-   consumers must agree on these sizes — the race's store entries are
-   keyed by the reduced space digest, and the analyzer's
-   cross-validation replays the same launch — so the shapes live here
-   once instead of drifting across call sites.
-
-   The shapes are chosen for ordering fidelity, not just speed: the
-   race only works if the reduced shape ranks candidates the way the
-   full problem does.  That forces one rule — shrink the *sequential*
-   dimension each thread iterates over (matrix extent, atoms per
-   point, search positions, samples per voxel) and keep the *parallel*
-   grid and the per-SM block cap at full scale.  Shrinking the grid
-   instead leaves wide-work-per-thread configurations under-populated
-   on the machine, and their relative order inverts: at 3360 voxels
-   MRI's true optimum (192 threads, 7 voxels per thread) launches too
-   few blocks to cover the SMs and ranks 160th of 175; at the full
-   107520 voxels with only 16 samples it ranks 1st. *)
-module Reduced = struct
-  let matmul_n = 128
-  let matmul_max_blocks = 8
-  let cp_npx = Cp.default_npx
-  let cp_npy = Cp.default_npy
-  let cp_natoms = 8
-  let cp_max_blocks = 8
-  let sad_w = 48
-  let sad_h = 32
-  let sad_sr = 8
-  let sad_max_blocks = 8
-  let mri_nsamples = 16
-  let mri_nvox = Mri_fhd.default_nvox
-  let mri_max_blocks = 3
-
-  (* shapes only; the candidate builders follow the Smoke module *)
-
-  (* The same optimization spaces, compiled at the shapes above. *)
-  let matmul ?arch ?extra_ptx () =
-    Matmul.candidates ?arch ?extra_ptx ~n:matmul_n ~max_blocks:matmul_max_blocks ()
-
-  let cp ?arch ?extra_ptx () =
-    Cp.candidates ?arch ?extra_ptx ~npx:cp_npx ~npy:cp_npy ~natoms:cp_natoms
-      ~max_blocks:cp_max_blocks ()
-
-  let sad ?arch ?extra_ptx () =
-    Sad.candidates ?arch ?extra_ptx ~w:sad_w ~h:sad_h ~sr:sad_sr ~max_blocks:sad_max_blocks ()
-
-  let mri ?arch ?extra_ptx () =
-    Mri_fhd.candidates ?arch ?extra_ptx ~nsamples:mri_nsamples ~nvox:mri_nvox
-      ~max_blocks:mri_max_blocks ()
-end
-
-(* The quick smoke-test scale: the smallest problems the whole space
-   can be swept at in well under a second, for the test suite and
-   `--scale quick` sanity runs.  Deliberately NOT the [Reduced] race
-   shapes above — smoke optimizes for sweep speed and tolerates a
-   shuffled ranking, the race cannot. *)
-module Smoke = struct
-  let matmul_n = 64
-  let matmul_max_blocks = 2
-  let cp_npx = 256
-  let cp_npy = 16
-  let cp_natoms = 16
-  let cp_max_blocks = 2
-  let sad_w = 32
-  let sad_h = 16
-  let sad_sr = 2
-  let sad_max_blocks = 2
-  let mri_nsamples = 8
-  let mri_nvox = 3360
-  let mri_max_blocks = 1
-
-  let matmul ?arch ?extra_ptx () =
-    Matmul.candidates ?arch ?extra_ptx ~n:matmul_n ~max_blocks:matmul_max_blocks ()
-
-  let cp ?arch ?extra_ptx () =
-    Cp.candidates ?arch ?extra_ptx ~npx:cp_npx ~npy:cp_npy ~natoms:cp_natoms
-      ~max_blocks:cp_max_blocks ()
-
-  let sad ?arch ?extra_ptx () =
-    Sad.candidates ?arch ?extra_ptx ~w:sad_w ~h:sad_h ~sr:sad_sr ~max_blocks:sad_max_blocks ()
-
-  let mri ?arch ?extra_ptx () =
-    Mri_fhd.candidates ?arch ?extra_ptx ~nsamples:mri_nsamples ~nvox:mri_nvox
-      ~max_blocks:mri_max_blocks ()
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-app builders                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let resolve (type c) (space : c Tuner.Space.t) (describe : c -> string) (config : string option)
-    : (c, string) result =
-  match config with
-  | None -> Ok (List.hd (Tuner.Space.configs space))
-  | Some d -> (
-    match Tuner.Space.find ~describe space d with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "no configuration %S" d))
-
-let matmul ?(n = Reduced.matmul_n) ?arch ?config () : (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Matmul.setup ~n () in
-      let ai = Matmul.analysis_input_of ?arch p cfg in
-      let c = Matmul.compile ~n ~analyze:ai cfg in
-      {
-        wb_app = "matmul";
-        wb_config = Matmul.describe cfg;
-        wb_dev = p.Matmul.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Matmul.space Matmul.describe config)
-
-let cp ?(npx = Reduced.cp_npx) ?(npy = Reduced.cp_npy) ?(natoms = Reduced.cp_natoms) ?arch
-    ?config () : (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Cp.setup ~npx ~npy ~natoms () in
-      let ai = Cp.analysis_input_of ?arch p cfg in
-      let c = Cp.compile ~natoms ~analyze:ai cfg in
-      {
-        wb_app = "cp";
-        wb_config = Cp.describe cfg;
-        wb_dev = p.Cp.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Cp.space Cp.describe config)
-
-let sad ?(w = Reduced.sad_w) ?(h = Reduced.sad_h) ?(sr = Reduced.sad_sr) ?arch ?config () :
-    (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Sad.setup ~w ~h ~sr () in
-      let ai = Sad.analysis_input_of ?arch p cfg in
-      let c = Sad.compile ~w ~h ~sr ~analyze:ai cfg in
-      {
-        wb_app = "sad";
-        wb_config = Sad.describe cfg;
-        wb_dev = p.Sad.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Sad.space Sad.describe config)
-
-let mri ?(nsamples = Reduced.mri_nsamples) ?(nvox = Reduced.mri_nvox) ?arch ?config () :
-    (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Mri_fhd.setup ~nsamples ~nvox () in
-      let ai = Mri_fhd.analysis_input_of ?arch p cfg in
-      let c = Mri_fhd.compile ~nsamples ~nvox ~analyze:ai cfg in
-      {
-        wb_app = "mri";
-        wb_config = Mri_fhd.describe cfg;
-        wb_dev = p.Mri_fhd.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Mri_fhd.space Mri_fhd.describe config)
-
-(* Smoke-shape workbenches: the same apps at the [Smoke] problem
-   sizes, for sweep-heavy test batteries (golden digests, crossval)
-   where functional-mode cost at the full-grid [Reduced] shapes would
-   dominate the suite.  The lint entry points above stay on [Reduced],
-   shared with the halving race. *)
-let smoke_matmul ?arch ?config () = matmul ~n:Smoke.matmul_n ?arch ?config ()
-
-let smoke_cp ?arch ?config () =
-  cp ~npx:Smoke.cp_npx ~npy:Smoke.cp_npy ~natoms:Smoke.cp_natoms ?arch ?config ()
-
-let smoke_sad ?arch ?config () = sad ~w:Smoke.sad_w ~h:Smoke.sad_h ~sr:Smoke.sad_sr ?arch ?config ()
-let smoke_mri ?arch ?config () = mri ~nsamples:Smoke.mri_nsamples ~nvox:Smoke.mri_nvox ?arch ?config ()
+(* The classic bug of each kind, picked from the kernel itself:
+   [`Race] drops the second barrier when there is one (the tile loop's
+   read-before-overwrite barrier) and the only one otherwise; [`Bank]
+   transposes the stores to the first shared array.  A kernel with
+   nothing to mutate — no barrier, no shared memory — is an error. *)
+let mutation (wb : t) kind : (Kir.Ast.kernel -> Kir.Ast.kernel, string) result =
+  let k = wb.wb_kernel in
+  let rec barriers ss =
+    List.fold_left
+      (fun n (s : Kir.Ast.stmt) ->
+        match s with
+        | Sync -> n + 1
+        | For l -> n + barriers l.body
+        | If (_, t, e) -> n + barriers t + barriers e
+        | Let _ | Mut _ | Assign _ | Store _ | Return -> n)
+      0 ss
+  in
+  let nothing what = Error (Printf.sprintf "%s %s has %s to mutate" wb.wb_app wb.wb_config what) in
+  match (kind, k.shared_decls) with
+  | `Race, _ -> (
+    match barriers k.body with
+    | 0 -> nothing "no barrier"
+    | n -> Ok (Kir.Mutate.drop_sync ~index:(min 1 (n - 1))))
+  | `Bank, (arr, _) :: _ -> Ok (Kir.Mutate.transpose_store ~array:arr)
+  | `Bank, [] -> nothing "no shared memory"

@@ -103,7 +103,7 @@ let run_candidate (c : Candidate.t) : (float, t) result =
    header and the protocol version).  [Worker_crash] backtraces are
    process memory addresses and are deliberately dropped: a resumed
    sweep reports the crash, not a stale stack. *)
-let to_journal = function
+let encode = function
   | Compile_error { stage; reason } -> Printf.sprintf "compile %S %S" stage reason
   | Verify_rejected { stage; reason } -> Printf.sprintf "verify %S %S" stage reason
   | Launch_error { reason } -> Printf.sprintf "launch %S" reason
@@ -111,7 +111,7 @@ let to_journal = function
   | Watchdog_exceeded { issued; budget } -> Printf.sprintf "watchdog %d %d" issued budget
   | Worker_crash { exn_name; backtrace = _ } -> Printf.sprintf "crash %S" exn_name
 
-let of_journal (s : string) : t option =
+let decode (s : string) : t option =
   try
     match String.index_opt s ' ' with
     | None -> None

@@ -123,7 +123,7 @@ type request =
 type measured_row = { m_desc : string; m_time_s : float }
 
 (* One per-candidate fault, in the store's one-line fault encoding
-   ([Fault.to_journal]).  Kept as a string at this layer so the
+   ([Fault.encode]).  Kept as a string at this layer so the
    protocol stays pure. *)
 type fault_row = { f_desc : string; f_fault : string }
 

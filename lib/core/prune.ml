@@ -11,7 +11,7 @@
                        final answer pool);
      rung 1  race      measure the space at the REDUCED launch shape
                        (the same quick scales the lint workbenches
-                       use — [Apps.Workbench.Reduced]), which costs a
+                       use — [Apps.App.Reduced]), which costs a
                        fraction of a full simulation per candidate;
                        [pl_race_frac] < 1 admits only the top
                        predicted slice, trading safety for speed;

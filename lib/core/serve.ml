@@ -202,7 +202,7 @@ let handle_explore t ~app ~scale ~(chaos : Proto.chaos_spec option) ~(arch : str
         x_faults =
           List.map
             (fun ((c : Candidate.t), f) ->
-              { Proto.f_desc = c.desc; f_fault = Fault.to_journal f })
+              { Proto.f_desc = c.desc; f_fault = Fault.encode f })
             r.faults;
         x_runs = r.engine.measure_runs;
         x_store_hits = r.engine.store_hits;

@@ -125,7 +125,7 @@ let candidate_key ~(arch : string) ~(space : string) (c : Candidate.t) : string 
 
 (* Payload format (everything after the key and the checksum):
      ok <desc %S> <time, Hexfloat encoding>
-     fault <desc %S> <Fault.to_journal>
+     fault <desc %S> <Fault.encode>
      blob <name %S> <content %S>
    The desc/name is carried for human inspection of the store file; the
    key alone addresses the entry.  A blob is an opaque string artifact
@@ -141,7 +141,7 @@ type entry = Meas of string * outcome  (* desc, outcome *) | Blob of string * st
 let payload_of (desc : string) (o : outcome) : string =
   match o with
   | Ok time_s -> Printf.sprintf "ok %S %s" desc (Hexfloat.to_string time_s)
-  | Error f -> Printf.sprintf "fault %S %s" desc (Fault.to_journal f)
+  | Error f -> Printf.sprintf "fault %S %s" desc (Fault.encode f)
 
 let payload_of_blob ~(name : string) (content : string) : string =
   Printf.sprintf "blob %S %S" name content
@@ -169,7 +169,7 @@ let payload_to (payload : string) : (string * outcome) option =
       | None -> None
       | Some (desc, ofs) -> (
         let rest = String.sub payload ofs (String.length payload - ofs) in
-        match Fault.of_journal rest with Some f -> Some (desc, Error f) | None -> None))
+        match Fault.decode rest with Some f -> Some (desc, Error f) | None -> None))
     | _ -> None)
 
 let entry_of_payload (payload : string) : entry option =

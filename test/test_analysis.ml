@@ -133,6 +133,10 @@ let affine_vs_interp (e : expr) : bool =
 let wb_exn (r : (Apps.Workbench.t, string) result) : Apps.Workbench.t =
   match r with Ok wb -> wb | Error msg -> Alcotest.fail msg
 
+(* Workbenches at the [Quick] sizes: functional replay at the registry's
+   full-grid [Reduced] shape would dominate the suite. *)
+let quick app ?config () = Apps.App.workbench ?config ~scale:Quick app
+
 let crossval_exact ?config ~expect_top name build () =
   let wb = wb_exn (build ?config ()) in
   let cv = Apps.Workbench.crossval wb in
@@ -158,22 +162,22 @@ let verdicts_of (r : Analysis.Lint.report) (arr : string) (kind : [ `Load | `Sto
 let crossval_tests =
   [
     t "matmul default: static = dynamic on every site, none ⊤"
-      (crossval_exact ?config:None ~expect_top:0 "matmul" (fun ?config () -> Apps.Workbench.smoke_matmul ?config ()));
+      (crossval_exact ?config:None ~expect_top:0 "matmul" (fun ?config () -> quick Apps.Matmul.app ?config ()));
     t "cp default: static = dynamic on every site, none ⊤"
-      (crossval_exact ?config:None ~expect_top:0 "cp" (fun ?config () -> Apps.Workbench.smoke_cp ?config ()));
+      (crossval_exact ?config:None ~expect_top:0 "cp" (fun ?config () -> quick Apps.Cp.app ?config ()));
     t "sad default: exact on analyzable sites, ⊤ sites reported"
-      (crossval_exact ?config:None ~expect_top:4 "sad" (fun ?config () -> Apps.Workbench.smoke_sad ?config ()));
+      (crossval_exact ?config:None ~expect_top:4 "sad" (fun ?config () -> quick Apps.Sad.app ?config ()));
     t "mri default: static = dynamic on every site, none ⊤"
-      (crossval_exact ?config:None ~expect_top:0 "mri" (fun ?config () -> Apps.Workbench.smoke_mri ?config ()));
+      (crossval_exact ?config:None ~expect_top:0 "mri" (fun ?config () -> quick Apps.Mri_fhd.app ?config ()));
     t "matmul 16x16 variant: still exact"
-      (crossval_exact ~config:"16x16/1x1/u1" ~expect_top:0 "matmul16" (fun ?config () -> Apps.Workbench.smoke_matmul ?config ()));
+      (crossval_exact ~config:"16x16/1x1/u1" ~expect_top:0 "matmul16" (fun ?config () -> quick Apps.Matmul.app ?config ()));
     t "cp uncoalesced variant: still exact"
-      (crossval_exact ~config:"b16x2/t2/unco" ~expect_top:0 "cp-unco" (fun ?config () -> Apps.Workbench.smoke_cp ?config ()));
+      (crossval_exact ~config:"b16x2/t2/unco" ~expect_top:0 "cp-unco" (fun ?config () -> quick Apps.Cp.app ?config ()));
     t "matmul 8x8 tile: C store uncoalesced; 16x16 tile: coalesced" (fun () ->
-        let v8 = verdicts_of (Apps.Workbench.lint (wb_exn (Apps.Workbench.smoke_matmul ()))) "C" `Store in
+        let v8 = verdicts_of (Apps.Workbench.lint (wb_exn (quick Apps.Matmul.app ()))) "C" `Store in
         let v16 =
           verdicts_of
-            (Apps.Workbench.lint (wb_exn (Apps.Workbench.smoke_matmul ~config:"16x16/1x1/u1" ())))
+            (Apps.Workbench.lint (wb_exn (quick Apps.Matmul.app ~config:"16x16/1x1/u1" ())))
             "C" `Store
         in
         check_b "8x8 uncoalesced" true
@@ -183,10 +187,10 @@ let crossval_tests =
           (List.for_all (function Analysis.Lint.Coalesced _ -> true | _ -> false) v16
           && v16 <> []));
     t "cp uncoalesced config is flagged, coalesced is clean" (fun () ->
-        let vco = verdicts_of (Apps.Workbench.lint (wb_exn (Apps.Workbench.smoke_cp ()))) "V" `Store in
+        let vco = verdicts_of (Apps.Workbench.lint (wb_exn (quick Apps.Cp.app ()))) "V" `Store in
         let vun =
           verdicts_of
-            (Apps.Workbench.lint (wb_exn (Apps.Workbench.smoke_cp ~config:"b16x2/t2/unco" ())))
+            (Apps.Workbench.lint (wb_exn (quick Apps.Cp.app ~config:"b16x2/t2/unco" ())))
             "V" `Store
         in
         check_b "coalesced clean" true
@@ -194,7 +198,7 @@ let crossval_tests =
         check_b "uncoalesced flagged" true
           (List.exists (function Analysis.Lint.Uncoalesced _ -> true | _ -> false) vun));
     t "cp atom loads broadcast from the constant cache" (fun () ->
-        let r = Apps.Workbench.lint (wb_exn (Apps.Workbench.smoke_cp ())) in
+        let r = Apps.Workbench.lint (wb_exn (quick Apps.Cp.app ())) in
         let vs = verdicts_of r "atoms" `Load in
         check_b "broadcast" true
           (List.for_all (function Analysis.Lint.Broadcast _ -> true | _ -> false) vs && vs <> []));
@@ -207,7 +211,7 @@ let crossval_tests =
 let mutant_tests =
   [
     t "transposed As store has bank conflicts; crossval stays exact" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         let r = Apps.Workbench.lint_mutant wb (Kir.Mutate.transpose_store ~array:"As") in
         let vs = verdicts_of r "As" `Store in
         check_b "conflict flagged" true
@@ -226,7 +230,7 @@ let mutant_tests =
                | Error _ -> false)
              cv.Analysis.Crossval.cv_sites));
     t "barrier-dropped matmul mutant is flagged as racy" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         let r = Apps.Workbench.lint_mutant wb (Kir.Mutate.drop_sync ~index:1) in
         check_b "races found" true (r.Analysis.Lint.r_races.Analysis.Races.findings <> []);
         check_b "has_errors" true (Analysis.Lint.has_errors r);
@@ -235,7 +239,7 @@ let mutant_tests =
         check_b "first-barrier drop races" true
           (r0.Analysis.Lint.r_races.Analysis.Races.findings <> []));
     t "race findings carry array, element and interval provenance" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         let r = Apps.Workbench.lint_mutant wb (Kir.Mutate.drop_sync ~index:1) in
         match r.Analysis.Lint.r_races.Analysis.Races.findings with
         | [] -> Alcotest.fail "expected at least one race"
@@ -244,15 +248,28 @@ let mutant_tests =
             (List.mem f.Analysis.Races.f_array [ "As"; "Bs" ]);
           check_b "distinct threads" true
             (f.Analysis.Races.f_tid1 <> f.Analysis.Races.f_tid2));
+    t "sad's race mutation drops its only barrier and is flagged" (fun () ->
+        let wb = wb_exn (quick Apps.Sad.app ()) in
+        match Apps.Workbench.mutation wb `Race with
+        | Error msg -> Alcotest.fail msg
+        | Ok f ->
+          check_b "races found" true
+            (Analysis.Lint.has_errors (Apps.Workbench.lint_mutant wb f)));
+    t "cp has nothing to mutate: an error, not an exception" (fun () ->
+        let wb = wb_exn (quick Apps.Cp.app ()) in
+        List.iter
+          (fun kind ->
+            check_b "error" true (Result.is_error (Apps.Workbench.mutation wb kind)))
+          [ `Race; `Bank ]);
     t "drop_sync with an out-of-range index raises" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         check_b "raises" true
           (try
              ignore (Kir.Mutate.drop_sync ~index:99 wb.Apps.Workbench.wb_kernel);
              false
            with Kir.Mutate.Mutate_error _ -> true));
     t "transpose_store on an array with no stores raises" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         check_b "raises" true
           (try
              ignore (Kir.Mutate.transpose_store ~array:"nosuch" wb.Apps.Workbench.wb_kernel);
@@ -296,7 +313,7 @@ let divergence_tests =
             let wb = wb_exn wb in
             check_i wb.Apps.Workbench.wb_app 0
               (List.length (Analysis.Races.tid_dependent_barriers wb.Apps.Workbench.wb_kernel)))
-          [ Apps.Workbench.smoke_matmul (); Apps.Workbench.smoke_sad () ]);
+          [ quick Apps.Matmul.app (); quick Apps.Sad.app () ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -306,7 +323,7 @@ let divergence_tests =
 let counter_tests =
   [
     t "site counters sum to the aggregate simulator statistics" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         let ptx, _ = Kir.Lower.lower_with_sites wb.Apps.Workbench.wb_kernel in
         let stats =
           Gpu.Sim.run ~mode:Gpu.Sim.Functional
@@ -334,7 +351,7 @@ let counter_tests =
           stats.Gpu.Sim.bank_conflict_extra
           (shared_replays * Gpu.Arch.g80_latencies.Gpu.Arch.issue));
     t "bank-conflict mutant: replay counters light up in the simulator" (fun () ->
-        let wb = wb_exn (Apps.Workbench.smoke_matmul ()) in
+        let wb = wb_exn (quick Apps.Matmul.app ()) in
         let k = Kir.Mutate.transpose_store ~array:"As" wb.Apps.Workbench.wb_kernel in
         let ptx, _ = Kir.Lower.lower_with_sites k in
         let stats =
@@ -360,14 +377,15 @@ let counter_tests =
 let pipeline_tests =
   [
     t "the analyze stage fills compiled.lint and reports via the hook" (fun () ->
-        let p = Apps.Matmul.setup ~n:64 () in
+        let size = Apps.Matmul.sizes Quick in
+        let p = Apps.Matmul.setup size in
         let cfg = List.hd (Tuner.Space.configs Apps.Matmul.space) in
         let stages = ref [] in
         let c =
-          Apps.Matmul.compile ~n:64
+          Apps.App.compile
             ~hook:(fun s -> stages := s.Tuner.Pipeline.stage :: !stages)
-            ~analyze:(Apps.Matmul.analysis_input_of p cfg)
-            cfg
+            ~analyze:(Apps.App.analysis_input Apps.Matmul.app p cfg)
+            Apps.Matmul.app size cfg
         in
         check_b "lint present" true (c.Tuner.Pipeline.lint <> None);
         check_b "analyze stage traced" true (List.mem "analyze" !stages);
@@ -378,15 +396,15 @@ let pipeline_tests =
         let cfg = List.hd (Tuner.Space.configs Apps.Matmul.space) in
         let stages = ref [] in
         let c =
-          Apps.Matmul.compile ~n:64
+          Apps.App.compile
             ~hook:(fun s -> stages := s.Tuner.Pipeline.stage :: !stages)
-            cfg
+            Apps.Matmul.app (Apps.Matmul.sizes Quick) cfg
         in
         check_b "no lint" true (c.Tuner.Pipeline.lint = None);
         check_b "no analyze stage" false (List.mem "analyze" !stages));
     t "instruction class breakdown partitions the static program" (fun () ->
         let cfg = List.hd (Tuner.Space.configs Apps.Matmul.space) in
-        let c = Apps.Matmul.compile ~n:64 cfg in
+        let c = Apps.App.compile Apps.Matmul.app (Apps.Matmul.sizes Quick) cfg in
         let rows = Ptx.Count.class_breakdown c.Tuner.Pipeline.ptx in
         let static_sum =
           List.fold_left (fun acc (r : Ptx.Count.class_row) -> acc + r.static_count) 0 rows

@@ -74,15 +74,14 @@ let space_tests =
     t "every configuration compiles through the verified pipeline" (fun () ->
         (* [compile] runs per-stage verification by default, so this
            also asserts zero violations across three whole spaces. *)
-        List.iter
-          (fun c -> ignore (Apps.Matmul.compile ~n:64 c))
-          (Tuner.Space.configs Apps.Matmul.space);
-        List.iter
-          (fun c -> ignore (Apps.Cp.compile ~natoms:8 c))
-          (Tuner.Space.configs Apps.Cp.space);
-        List.iter
-          (fun c -> ignore (Apps.Mri_fhd.compile ~nsamples:4 ~nvox:840 c))
-          (Tuner.Space.configs Apps.Mri_fhd.space));
+        let compile_all (app : _ Apps.App.t) size =
+          List.iter
+            (fun c -> ignore (Apps.App.compile app size c))
+            (Tuner.Space.configs app.space)
+        in
+        compile_all Apps.Matmul.app (Apps.Matmul.sizes Quick);
+        compile_all Apps.Cp.app { (Apps.Cp.sizes Quick) with natoms = 8 };
+        compile_all Apps.Mri_fhd.app { nsamples = 4; nvox = 840; max_blocks = 1 });
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -95,7 +94,7 @@ let correctness_tests =
         List.iter
           (fun (tile, rect, unroll, prefetch, spill) ->
             let cfg = { Apps.Matmul.tile; rect; unroll; prefetch; spill } in
-            check_b (Apps.Matmul.describe cfg) true (Apps.Matmul.validate ~n:64 cfg))
+            check_b (Apps.Matmul.describe cfg) true (Apps.Matmul.validate cfg))
           [
             (8, 1, 1, false, false);
             (8, 4, 2, true, false);
@@ -131,7 +130,7 @@ let correctness_tests =
 let candidate_tests =
   [
     ts "matmul candidates carry sane static data" (fun () ->
-        let cands = Apps.Matmul.candidates ~n:64 ~max_blocks:2 () in
+        let cands = Apps.App.candidates Apps.Matmul.app (Apps.Matmul.sizes Quick) in
         check_i "count" 96 (List.length cands);
         List.iter
           (fun (c : Tuner.Candidate.t) ->
@@ -142,13 +141,17 @@ let candidate_tests =
               check_b "occupancy consistent" true (c.occupancy.blocks_per_sm >= 1))
           cands);
     ts "cp: rsqrt makes SFU the dominant blocking class" (fun () ->
-        let cands = Apps.Cp.candidates ~npx:256 ~npy:16 ~natoms:16 () in
+        let cands =
+          Apps.App.candidates Apps.Cp.app { npx = 256; npy = 16; natoms = 16; max_blocks = 8 }
+        in
         List.iter
           (fun (c : Tuner.Candidate.t) ->
             check_b "sfu events dominate" true (c.profile.sfu_events > c.profile.mem_bar_events))
           cands);
     ts "mri: voxel-tiling clusters leave metrics (nearly) unchanged" (fun () ->
-        let cands = Apps.Mri_fhd.candidates ~nsamples:64 ~nvox:107520 ~max_blocks:1 () in
+        let cands =
+          Apps.App.candidates Apps.Mri_fhd.app { (Apps.Mri_fhd.sizes Paper) with max_blocks = 1 }
+        in
         let m d =
           List.find_map
             (fun (c : Tuner.Candidate.t) ->

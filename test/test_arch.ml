@@ -180,7 +180,7 @@ let occupancy_tests =
 (* ------------------------------------------------------------------ *)
 
 let quick_matmul arch =
-  (Option.get (Apps.Registry.find "matmul")).Apps.Registry.quick_candidates ~arch ()
+  (Option.get (Apps.Registry.find "matmul")).Apps.Registry.candidates ~arch Quick
 
 let rows (r : Tuner.Search.result) =
   List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) r.exhaustive

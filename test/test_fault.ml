@@ -59,7 +59,7 @@ let classify_tests =
 
 let journal_tests =
   let roundtrips (f : Tuner.Fault.t) (expect : Tuner.Fault.t) =
-    match Tuner.Fault.of_journal (Tuner.Fault.to_journal f) with
+    match Tuner.Fault.decode (Tuner.Fault.encode f) with
     | Some g -> g = expect
     | None -> false
   in
@@ -82,14 +82,14 @@ let journal_tests =
           (roundtrips f (Tuner.Fault.Worker_crash { exn_name = "Boom(3)"; backtrace = "" })));
     t "garbage decodes to None, not an exception" (fun () ->
         List.iter
-          (fun s -> check_b s true (Tuner.Fault.of_journal s = None))
+          (fun s -> check_b s true (Tuner.Fault.decode s = None))
           [ ""; "nonsense"; "watchdog x y"; "compile \"unterminated"; "ok \"a\" 1.0" ]);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"reason strings round-trip through %S (qcheck)" ~count:300
          QCheck.(pair printable_string printable_string)
          (fun (stage, reason) ->
            let f = Tuner.Fault.Verify_rejected { stage; reason } in
-           Tuner.Fault.of_journal (Tuner.Fault.to_journal f) = Some f));
+           Tuner.Fault.decode (Tuner.Fault.encode f) = Some f));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +386,7 @@ let search_tests =
 
 (* Built once: compiling and measuring the 96-point quick space per
    QCheck iteration would dominate the suite's runtime. *)
-let matmul_quick = lazy (Apps.Registry.(Option.get (find "matmul")).quick_candidates ())
+let matmul_quick = lazy (Apps.Registry.(Option.get (find "matmul")).candidates Quick)
 
 let baseline = lazy (Tuner.Search.run ~app_name:"matmul" (Lazy.force matmul_quick))
 

@@ -136,6 +136,7 @@ let verify_tests =
 (* ------------------------------------------------------------------ *)
 
 let mm_cfg = { Apps.Matmul.tile = 16; rect = 2; unroll = 2; prefetch = true; spill = false }
+let mm_size = Apps.Matmul.sizes Quick
 
 let pipeline_tests =
   [
@@ -147,7 +148,7 @@ let pipeline_tests =
         let sched =
           { (Apps.Matmul.schedule mm_cfg) with Tuner.Pipeline.kir_passes = [ broken ] }
         in
-        match Tuner.Pipeline.compile sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
+        match Tuner.Pipeline.compile sched (Apps.Matmul.kernel mm_size mm_cfg) with
         | _ -> Alcotest.fail "expected Pass_failed"
         | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-kir"));
@@ -164,20 +165,20 @@ let pipeline_tests =
         let sched =
           { base with Tuner.Pipeline.ptx_passes = base.ptx_passes @ [ broken ] }
         in
-        (match Tuner.Pipeline.compile sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
+        (match Tuner.Pipeline.compile sched (Apps.Matmul.kernel mm_size mm_cfg) with
         | _ -> Alcotest.fail "expected Pass_failed"
         | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-ptx"));
         (* With verification off the same schedule completes: the
            checks, not luck, caught the corruption. *)
-        match Tuner.Pipeline.compile ~verify:false sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
+        match Tuner.Pipeline.compile ~verify:false sched (Apps.Matmul.kernel mm_size mm_cfg) with
         | (_ : Tuner.Pipeline.compiled) -> ()
         | exception Tuner.Pipeline.Pass_failed _ ->
           Alcotest.fail "verification off should not raise Pass_failed");
     t "the trace hook reports every stage with sane statistics" (fun () ->
         let stats = ref [] in
         let c =
-          Apps.Matmul.compile ~n:64 ~hook:(fun s -> stats := s :: !stats) mm_cfg
+          Apps.App.compile ~hook:(fun s -> stats := s :: !stats) Apps.Matmul.app mm_size mm_cfg
         in
         let stats = List.rev !stats in
         check_b "has KIR stages" true
@@ -195,7 +196,7 @@ let pipeline_tests =
             check_b "time non-negative" true (s.elapsed_s >= 0.0))
           stats);
     t "scheduled PTX passes reproduce Ptx.Opt.run exactly" (fun () ->
-        let kir = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let kir = Apps.Matmul.kernel mm_size mm_cfg in
         let kir =
           List.fold_left
             (fun k (p : Tuner.Pipeline.kir_pass) -> p.kp_fn k)
@@ -205,13 +206,13 @@ let pipeline_tests =
         let piped = (Tuner.Pipeline.lower_opt kir).ptx in
         check_b "byte-identical kernels" true (direct = piped));
     t "unroll of a missing loop label raises No_such_loop" (fun () ->
-        let k = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let k = Apps.Matmul.kernel mm_size mm_cfg in
         match Kir.Unroll.apply ~select:(Kir.Unroll.Named "nonexistent") ~factor:2 k with
         | _ -> Alcotest.fail "expected No_such_loop"
         | exception Kir.Unroll.No_such_loop name ->
           check_b "names the loop" true (name = "nonexistent"));
     t "Named and Pred selectors agree on the k loop" (fun () ->
-        let k = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let k = Apps.Matmul.kernel mm_size mm_cfg in
         let a = Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:2 k in
         let b = Kir.Unroll.apply ~select:(Kir.Unroll.Pred (String.equal "k")) ~factor:2 k in
         check_b "identical" true (a = b));
@@ -249,7 +250,7 @@ let space_tests =
     ts "every registry app enumerates exactly its space" (fun () ->
         List.iter
           (fun (e : Apps.Registry.entry) ->
-            let cands = e.quick_candidates () in
+            let cands = e.candidates Quick in
             check_i (e.name ^ " count") e.cardinality (List.length cands);
             check_b (e.name ^ " order and descs") true
               (List.map (fun (c : Tuner.Candidate.t) -> c.desc) cands
@@ -257,9 +258,56 @@ let space_tests =
           Apps.Registry.all);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Candidate identity per scale                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One MD5 per (app, scale) over every candidate's [Store.kernel_digest]
+   (description, thread counts, PTX text), on g80.  The literals were
+   captured before the per-app candidate builders were folded into
+   [Apps.App], so any drift in a description, a kernel or a launch
+   geometry at any scale fails here. *)
+let identity_golden =
+  let open Apps.App in
+  [
+    ("matmul", Paper, "9824ae625b709ddb25931fd7e1b301a2");
+    ("matmul", Bench, "34234767021d49901196050cd59a8487");
+    ("matmul", Quick, "2f8ad4e50d162dd6a6e410106444cb95");
+    ("matmul", Reduced, "0bc0e160cdf056d32b241cce3a927271");
+    ("cp", Paper, "7a21980f4fdda27dbcf6a5892f912ef7");
+    ("cp", Bench, "7a21980f4fdda27dbcf6a5892f912ef7");
+    ("cp", Quick, "43b497ee8890421ea1b1e13aae505a24");
+    ("cp", Reduced, "12374851b3b2220d78d0e514f92c4859");
+    ("sad", Paper, "e118f2d6f61ff5881c6e0c099b6d047f");
+    ("sad", Bench, "e118f2d6f61ff5881c6e0c099b6d047f");
+    ("sad", Quick, "95dbc7e0eb948150d92cb913078a32c3");
+    ("sad", Reduced, "32f0afd57b14a9f32af0d027cf3e0d76");
+    ("mri", Paper, "d17df4a7da06fbcf775c3d7c884dc5c8");
+    ("mri", Bench, "d17df4a7da06fbcf775c3d7c884dc5c8");
+    ("mri", Quick, "4b44edabad65307f80d7c810b23af6fd");
+    ("mri", Reduced, "f9751135db3286aad02c27f3d977292c");
+  ]
+
+let identity_tests =
+  [
+    ts "every candidate is unchanged at every scale" (fun () ->
+        List.iter
+          (fun (app, scale, want) ->
+            let cands =
+              (Option.get (Apps.Registry.find app)).candidates ~arch:Gpu.Arch.g80 scale
+            in
+            let got =
+              Digest.to_hex
+                (Digest.string (String.concat "\n" (List.map Tuner.Store.kernel_digest cands)))
+            in
+            Alcotest.(check string) app want got)
+          identity_golden);
+  ]
+
 let suite =
   [
     ("pipeline.verify", verify_tests);
     ("pipeline.compile", pipeline_tests);
     ("pipeline.spaces", space_tests);
+    ("pipeline.identity", identity_tests);
   ]

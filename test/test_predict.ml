@@ -2,7 +2,7 @@
    model-driven race ([Tuner.Prune]).
 
    The empirical cross-shape fidelity claim — racing at the
-   [Workbench.Reduced] shape finds the bench-scale optimum — is pinned
+   [Reduced] shape finds the bench-scale optimum — is pinned
    by the bench `prune` exhibit, which sweeps the real spaces.  Here
    the races are *self-reduced* (the reduced space is the target space
    itself), which turns recovery into an exact invariant the machinery
@@ -74,7 +74,7 @@ let predict_tests =
                 if not (Float.is_finite v) then
                   Alcotest.failf "%s: feature %d not finite" c.desc j)
               x)
-          (List.filteri (fun i _ -> i < 8) (e.quick_candidates ())));
+          (List.filteri (fun i _ -> i < 8) (e.candidates Quick)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -93,7 +93,7 @@ let space =
     | Some v -> v
     | None ->
       let cands =
-        List.filter (fun (c : Tuner.Candidate.t) -> c.valid) ((entry name).quick_candidates ())
+        List.filter (fun (c : Tuner.Candidate.t) -> c.valid) ((entry name).candidates Quick)
       in
       let engine = Tuner.Measure.create ~app_name:name () in
       Hashtbl.replace tbl name (cands, engine);
@@ -153,7 +153,7 @@ let prune_tests =
             let cands =
               List.filter
                 (fun (c : Tuner.Candidate.t) -> c.valid)
-                ((entry "matmul").quick_candidates ~arch ())
+                ((entry "matmul").candidates ~arch Quick)
             in
             let engine = Tuner.Measure.create ~app_name:("matmul-" ^ arch.Gpu.Arch.name) () in
             let ok =
@@ -225,9 +225,7 @@ let hardened_tests =
             let cands =
               List.filter
                 (fun (c : Tuner.Candidate.t) -> c.valid)
-                ((entry name).quick_candidates
-                   ~extra_ptx:[ Tuner.Pipeline.peephole rules ]
-                   ())
+                ((entry name).candidates ~extra_ptx:[ Tuner.Pipeline.peephole rules ] Quick)
             in
             let r =
               Tuner.Search.run ~jobs:2

@@ -47,7 +47,7 @@ let identity_tests =
         List.iter
           (fun app ->
             let e = Option.get (Apps.Registry.find app) in
-            let direct = Tuner.Search.run ~jobs:2 ~app_name:app (e.quick_candidates ()) in
+            let direct = Tuner.Search.run ~jobs:2 ~app_name:app (e.candidates Quick) in
             with_server (fun server _ ->
                 let x = explore_reply server app in
                 Alcotest.(check int) "space size" direct.space_size x.x_space_size;
@@ -66,7 +66,7 @@ let identity_tests =
           [ "matmul"; "cp" ]);
     t "served tune agrees with direct tune" (fun () ->
         let e = Option.get (Apps.Registry.find "matmul") in
-        let best, selected = Tuner.Search.tune ~jobs:2 ~app_name:"matmul" (e.quick_candidates ()) in
+        let best, selected = Tuner.Search.tune ~jobs:2 ~app_name:"matmul" (e.candidates Quick) in
         with_server (fun server _ ->
             match S.handle server (P.Tune { app = "matmul"; scale = P.Quick; arch = None; deadline_ms = None }) with
             | P.Tune_r r ->
@@ -103,7 +103,7 @@ let cache_tests =
         with_server (fun server _ ->
             let clean = explore_reply server "matmul" in
             (* chaos-injected request: per-request faults, response still
-               well-formed, with each fault in the journal encoding *)
+               well-formed, with each fault in [Fault.encode] *)
             let chaos =
               match
                 S.handle server
@@ -123,9 +123,9 @@ let cache_tests =
             Alcotest.(check int) "three faults reported" 3 (List.length chaos.x_faults);
             List.iter
               (fun (f : P.fault_row) ->
-                match Tuner.Fault.of_journal f.f_fault with
+                match Tuner.Fault.decode f.f_fault with
                 | Some _ -> ()
-                | None -> Alcotest.failf "fault row not in journal encoding: %s" f.f_fault)
+                | None -> Alcotest.failf "fault row not in the fault encoding: %s" f.f_fault)
               chaos.x_faults;
             Alcotest.(check int) "chaos bypasses the store entirely" 0 chaos.x_store_hits;
             (* the store is unpoisoned: a clean replay is warm and equal *)

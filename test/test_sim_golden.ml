@@ -7,7 +7,7 @@
    - Golden digests: for four applications x (default + one non-default
      config) x (functional + timing), every headline statistic and an
      md5 of the full per-site counter rendering were captured from the
-     pre-refactor interpreter core at the [Workbench.Smoke] shapes.
+     pre-refactor interpreter core at the [Apps.App.Quick] sizes.
      Each row is checked under both the ready-heap scheduler and the
      reference linear-scan scheduler.  (GPUOPT_GOLDEN_CAPTURE reprints
      the table after a deliberate shape change, see below.)
@@ -68,22 +68,23 @@ let golden : (string * string * string * float * int * int * int * int * int * s
     ("mri", "tpb256/u16/w7", "timing", 59154., 11992, 560, 35840, 0, 1, "2dcb4e574b006cfdba15f52e25360720");
   ]
 
-(* Goldens run at the [Workbench.Smoke] shapes — the pre-refactor
-   lint shapes the table was originally captured at, and cheap enough
-   that functional mode (all blocks) stays fast.  Lint itself now runs
-   at the [Workbench.Reduced] race shapes; the @check alias's
-   `lint --crossval` covers that path. *)
+(* Goldens run at the [Quick] sizes — the pre-refactor lint shapes the
+   table was originally captured at, and cheap enough that functional
+   mode (all blocks) stays fast.  Lint itself now runs at the [Reduced]
+   race shapes; the @check alias's `lint --crossval` covers that
+   path. *)
 let stats_of ~scheduler app config mode_name : Gpu.Sim.stats =
-  let wb_of =
-    match app with
-    | "matmul" -> Apps.Workbench.smoke_matmul
-    | "cp" -> Apps.Workbench.smoke_cp
-    | "sad" -> Apps.Workbench.smoke_sad
-    | "mri" -> Apps.Workbench.smoke_mri
-    | _ -> failwith ("no smoke workbench for " ^ app)
-  in
   let config_opt = match config with "" -> None | d -> Some d in
-  match wb_of ?config:config_opt () with
+  let workbench app = Apps.App.workbench ?config:config_opt ~scale:Quick app in
+  let wb =
+    match app with
+    | "matmul" -> workbench Apps.Matmul.app
+    | "cp" -> workbench Apps.Cp.app
+    | "sad" -> workbench Apps.Sad.app
+    | "mri" -> workbench Apps.Mri_fhd.app
+    | _ -> failwith ("no quick workbench for " ^ app)
+  in
+  match wb with
   | Error msg -> failwith (app ^ " " ^ config ^ ": " ^ msg)
   | Ok wb ->
     let launch =

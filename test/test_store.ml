@@ -31,7 +31,7 @@ let digest_tests =
            scale must digest identically — nothing about physical
            identity, closure allocation or build order may leak in. *)
         let e = Option.get (Apps.Registry.find "matmul") in
-        let c1 = e.quick_candidates () and c2 = e.quick_candidates () in
+        let c1 = e.candidates Quick and c2 = e.candidates Quick in
         let arch = S.arch_digest () in
         Alcotest.(check string) "arch digest deterministic" arch (S.arch_digest ());
         let descs cs =
@@ -52,7 +52,7 @@ let digest_tests =
           c1 c2);
     t "digests separate what must not share measurements" (fun () ->
         let e = Option.get (Apps.Registry.find "matmul") in
-        let cands = e.quick_candidates () in
+        let cands = e.candidates Quick in
         let descs =
           List.filter_map
             (fun (c : Tuner.Candidate.t) -> if c.valid then Some c.desc else None)
@@ -146,8 +146,8 @@ let roundtrip_tests =
                   (fun i fa ->
                     match S.get s' (key_of i) with
                     | Some (Error fa') ->
-                      Alcotest.(check string) "fault preserved" (Tuner.Fault.to_journal fa)
-                        (Tuner.Fault.to_journal fa')
+                      Alcotest.(check string) "fault preserved" (Tuner.Fault.encode fa)
+                        (Tuner.Fault.encode fa')
                     | _ -> Alcotest.fail "fault entry lost")
                   faults)));
     t "put is first-write-wins and get/mem agree" (fun () ->

@@ -371,8 +371,8 @@ let apply_tests =
         let extra = [ Tuner.Pipeline.peephole rules ] in
         List.iter
           (fun (e : Apps.Registry.entry) ->
-            let plain = e.quick_candidates () in
-            let with_rules = e.quick_candidates ~extra_ptx:extra () in
+            let plain = e.candidates Quick in
+            let with_rules = e.candidates ~extra_ptx:extra Quick in
             List.iter2
               (fun (a : Tuner.Candidate.t) (b : Tuner.Candidate.t) ->
                 Alcotest.(check string)

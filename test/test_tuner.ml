@@ -325,7 +325,7 @@ let search_tests =
            runs must produce identical result records.  A reduced SAD
            problem keeps the space's full 648-configuration structure
            while staying test-sized. *)
-        let cands = Apps.Sad.candidates ~w:32 ~h:16 ~sr:2 ~max_blocks:2 () in
+        let cands = Apps.App.candidates Apps.Sad.app (Apps.Sad.sizes Quick) in
         let r1 = Tuner.Search.run ~jobs:1 ~app_name:"sad-small" cands in
         let r4 = Tuner.Search.run ~jobs:4 ~app_name:"sad-small" cands in
         let descs ms = List.map (fun (m : Tuner.Search.measured) -> m.cand.desc) ms in
