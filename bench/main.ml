@@ -614,144 +614,6 @@ let bechamel () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput: the quick-scale measurement sweep             *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock of the quick-scale candidate sweep per application (the
-   tuner's measurement inner loop), with simulator throughput derived
-   from the global warp-instruction counter.  Results are also written
-   to BENCH_sim.json so the perf trajectory is machine-checkable across
-   commits.
-
-   The baseline walls are the same sweep on the pre-refactor
-   interpretive execution core (commit 1601625, identical methodology:
-   one warm-up sweep, then best of the timed sweeps, same host class).
-   The compiled core's acceptance bar is >= 2.5x on matmul.
-
-   The sweeps are deterministic CPU-bound work, so the minimum wall is
-   the measurement least disturbed by the host.  Reps are split into
-   two passes with the other apps' sweeps in between: transient host
-   interference (steal time on shared machines) tends to persist for
-   seconds, and a single burst of reps can fall entirely inside one
-   such window. *)
-let perf_baseline_wall_s =
-  [ ("matmul", 0.945); ("cp", 0.140); ("sad", 1.086); ("mri", 1.173) ]
-
-let perf_apps = [ "matmul"; "cp"; "sad"; "mri" ]
-
-let perf () =
-  section "Simulator throughput: quick-scale sweep (compiled execution core)";
-  let reps_per_pass = 3 and passes = 2 in
-  let sweeps =
-    List.map
-      (fun app ->
-        let e = registry app in
-        let cands =
-          List.filter (fun (c : Tuner.Candidate.t) -> c.valid) (e.candidates Quick)
-        in
-        let sweep () = List.iter (fun (c : Tuner.Candidate.t) -> ignore (c.run ())) cands in
-        (app, List.length cands, sweep))
-      perf_apps
-  in
-  let counters =
-    List.map
-      (fun (app, _, sweep) ->
-        sweep () (* warm-up: faults in lazy compilation, warms the allocator *);
-        let wi0 = Gpu.Sim.warp_instrs_issued () and r0 = Gpu.Sim.sim_runs () in
-        sweep ();
-        (app, (Gpu.Sim.warp_instrs_issued () - wi0, Gpu.Sim.sim_runs () - r0)))
-      sweeps
-  in
-  let walls = Hashtbl.create 4 in
-  for _ = 1 to passes do
-    List.iter
-      (fun (app, _, sweep) ->
-        for _ = 1 to reps_per_pass do
-          let t0 = Unix.gettimeofday () in
-          sweep ();
-          let dt = Unix.gettimeofday () -. t0 in
-          let prev = Option.value (Hashtbl.find_opt walls app) ~default:infinity in
-          Hashtbl.replace walls app (Float.min prev dt)
-        done)
-      sweeps
-  done;
-  (* Adaptive: if the headline matmul number lands near the acceptance
-     threshold, take extra passes — host-interference windows can
-     outlast the main measurement on shared machines. *)
-  let matmul_sweep =
-    let _, _, sweep = List.find (fun (a, _, _) -> a = "matmul") sweeps in
-    sweep
-  in
-  let matmul_base = List.assoc "matmul" perf_baseline_wall_s in
-  let extra = ref 0 in
-  while !extra < 2 && matmul_base /. Hashtbl.find walls "matmul" < 2.6 do
-    incr extra;
-    for _ = 1 to reps_per_pass do
-      let t0 = Unix.gettimeofday () in
-      matmul_sweep ();
-      let dt = Unix.gettimeofday () -. t0 in
-      Hashtbl.replace walls "matmul" (Float.min (Hashtbl.find walls "matmul") dt)
-    done
-  done;
-  let rows =
-    List.map
-      (fun (app, cands, _) ->
-        let winstrs, runs = List.assoc app counters in
-        let wall = Hashtbl.find walls app in
-        let baseline = List.assoc app perf_baseline_wall_s in
-        (app, cands, runs, winstrs, wall, baseline, baseline /. wall))
-      sweeps
-  in
-  print_string
-    (Tuner.Report.table
-       [ "App"; "Configs"; "Sim runs"; "Warp instrs"; "Wall (s)"; "Baseline (s)"; "Speedup" ]
-       (List.map
-          (fun (app, cands, runs, wi, wall, base, speedup) ->
-            [
-              app;
-              string_of_int cands;
-              string_of_int runs;
-              string_of_int wi;
-              Printf.sprintf "%.3f" wall;
-              Printf.sprintf "%.3f" base;
-              Printf.sprintf "%.2fx" speedup;
-            ])
-          rows));
-  let total_wi = List.fold_left (fun a (_, _, _, wi, _, _, _) -> a + wi) 0 rows in
-  let total_wall = List.fold_left (fun a (_, _, _, _, w, _, _) -> a +. w) 0.0 rows in
-  printf "\naggregate: %.2f M warp-instrs/s over the four sweeps\n"
-    (float_of_int total_wi /. total_wall /. 1e6);
-  write_json "BENCH_sim.json"
-    Util.Json.(
-      Obj
-        [
-          ("bench", Str "sim_throughput");
-          ("scale", Str "quick");
-          ("reps", Int (reps_per_pass * passes));
-          ( "apps",
-            List
-              (List.map
-                 (fun (app, cands, runs, wi, wall, base, speedup) ->
-                   Obj
-                     [
-                       ("app", Str app);
-                       ("candidates", Int cands);
-                       ("sim_runs", Int runs);
-                       ("warp_instrs", Int wi);
-                       ("wall_s", Float wall);
-                       ("winstr_per_s", Float (float_of_int wi /. wall));
-                       ("baseline_wall_s", Float base);
-                       ("speedup", Float speedup);
-                     ])
-                 rows) );
-          ("aggregate_winstr_per_s", Float (float_of_int total_wi /. total_wall));
-        ]);
-  let speedup_of app = let (_, _, _, _, _, _, s) = List.find (fun (a, _, _, _, _, _, _) -> a = app) rows in s in
-  check "matmul sweep >= 2.5x over the interpretive core" (speedup_of "matmul" >= 2.5);
-  check "every app's sweep faster than the interpretive core"
-    (List.for_all (fun (_, _, _, _, _, _, s) -> s > 1.0) rows)
-
-(* ------------------------------------------------------------------ *)
 (* Chaos: fault-tolerance exhibit                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -763,52 +625,12 @@ let perf () =
    identical result. *)
 let chaos () =
   section "Chaos: fault-injected sweep + kill/resume through the store (matmul quick)";
-  let e = registry "matmul" in
-  let cands = e.candidates Quick in
-  let baseline = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" cands in
-  let avoid = List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) baseline.selected in
-  let injected_cands, injections =
-    Tuner.Chaos.inject ~seed:2008 ~count:6 ~avoid cands
+  let narrative, checks =
+    Tuner.Chaos.self_test ~jobs:!jobs ~app_name:"matmul" ~seed:2008 ~count:6 ~hit_frontier:false
+      ((registry "matmul").candidates Quick)
   in
-  let r = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" injected_cands in
-  print_string (Tuner.Report.fault_table r.faults);
-  let injected_descs =
-    List.sort compare (List.map (fun (i : Tuner.Chaos.injection) -> i.inj_desc) injections)
-  in
-  check "all injected faults reported"
-    (List.sort compare (List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) r.faults)
-    = injected_descs);
-  check "watchdog faults present among the injections"
-    (List.exists (fun (_, f) -> Tuner.Fault.tag f = "watchdog") r.faults);
-  let surviving_best =
-    List.filter
-      (fun (m : Tuner.Search.measured) -> not (List.mem m.cand.desc injected_descs))
-      baseline.exhaustive
-    |> fun ms -> Option.get (Util.Stats.argmin (fun (m : Tuner.Search.measured) -> m.time_s) ms)
-  in
-  check "exhaustive optimum over survivors is exact"
-    (r.best.cand.desc = surviving_best.cand.desc && r.best.time_s = surviving_best.time_s);
-  check "faults off the frontier leave selected_best unchanged"
-    (r.selected_best.cand.desc = baseline.selected_best.cand.desc
-    && r.selected_best.time_s = baseline.selected_best.time_s);
-  (* Kill-and-resume through a fresh result store. *)
-  let kr =
-    Tuner.Chaos.kill_and_resume ~jobs:!jobs ~app_name:"matmul" ~k:(max 1 (r.space_size / 2))
-      injected_cands
-  in
-  let resumed = kr.rs_resumed in
-  let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
-  let faults res =
-    List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.encode f)) res
-  in
-  check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
-  check "resume skips the stored measurements"
-    (resumed.engine.measure_runs = r.space_size - kr.rs_loaded);
-  check "resumed sweep equals the uninterrupted one"
-    (times resumed.exhaustive = times r.exhaustive
-    && faults resumed.faults = faults r.faults
-    && resumed.best.cand.desc = r.best.cand.desc
-    && resumed.selected_eval_time = r.selected_eval_time)
+  print_string narrative;
+  List.iter (fun (name, ok) -> check name ok) checks
 
 (* ------------------------------------------------------------------ *)
 (* Serve: tuning-as-a-service load harness                             *)
@@ -1534,7 +1356,6 @@ let experiments =
     ("ablation", ablation);
     ("trace", trace);
     ("lint", lint);
-    ("perf", perf);
     ("bechamel", bechamel);
     ("chaos", chaos);
     ("serve", serve);

@@ -45,10 +45,19 @@ let stats_arg =
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-(* [--quick] selects the smoke-test scale; the store names the other
-   one "full". *)
+(* [--quick] selects the smoke-test scale. *)
 let scale_of quick = if quick then Apps.App.Quick else Apps.App.Paper
-let store_scale quick = if quick then "quick" else "full"
+
+(* The open store, if any, together with the keys of [cands]: [e]'s
+   space at [scale] (the same keys the serve daemon uses). *)
+let bound store (e : Apps.Registry.entry) scale cands : Tuner.Measure.store_binding option =
+  Option.map
+    (fun st ->
+      {
+        Tuner.Measure.sb_store = st;
+        sb_key = Tuner.Store.keys ~app_name:e.name ~scale:(Apps.App.scale_tag scale) cands;
+      })
+    store
 
 (* Shared by explore/tune: append the verified peephole pass, built from
    a (store-cached) superoptimizer discovery run on the target arch. *)
@@ -270,11 +279,12 @@ let explore_cmd =
          table and greppable winner lines. *)
       let rs =
         with_store store_file (fun store ->
-            Tuner.Search.run_archs ~jobs ~fail_fast ?store
-              ~store_scale:(store_scale quick)
-              ~app_name:e.name ~archs:Gpu.Arch.archs
+            Tuner.Search.run_archs ~jobs ~fail_fast ~app_name:e.name ~archs:Gpu.Arch.archs
               (fun arch ->
-                e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick)))
+                let cands =
+                  e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick)
+                in
+                (cands, bound store e (scale_of quick) cands)))
       in
       print_string (Tuner.Report.arch_winner_table rs);
       Printf.printf "\n";
@@ -300,10 +310,8 @@ let explore_cmd =
                 Some
                   (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
             in
-            Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
-              ?budget_frac:(budget_frac budget)
-              ~store_scale:(store_scale quick)
-              ~app_name:e.name cands)
+            Tuner.Search.run ~jobs ~fail_fast ?store:(bound store e (scale_of quick) cands)
+              ?predict:pspec ?budget_frac:(budget_frac budget) ~app_name:e.name cands)
       with
       | Tuner.Fault.Fail { desc; fault } ->
         Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
@@ -373,13 +381,11 @@ let predict_cmd =
         let spec =
           Tuner.Prune.spec ~plan ~rules:(Option.value db ~default:[]) ~reduced ()
         in
-        let scale = store_scale quick in
         let engine = Tuner.Measure.create ~app_name:e.name () in
-        Tuner.Search.bind_store engine ~app_name:e.name cands ~store ~store_key:None
-          ~store_scale:(Some scale);
+        Option.iter (Tuner.Measure.attach_store engine) (bound store e (scale_of quick) cands);
         let o =
           try
-            Tuner.Prune.run ~jobs ?store ~store_scale:scale ~engine ~app_name:e.name spec cands
+            Tuner.Prune.run ~jobs ~engine ~app_name:e.name spec cands
           with Tuner.Fault.Fail { desc; fault } ->
             Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
             exit 1
@@ -448,108 +454,19 @@ let chaos_cmd =
              and resume checks still apply).")
   in
   let run (e : Apps.Registry.entry) jobs quick seed nfaults hit_frontier =
-    let cands = e.candidates (scale_of quick) in
-    let failures = ref 0 in
-    let check name ok =
-      if not ok then incr failures;
-      Printf.printf "CHECK %-52s %s\n" name (if ok then "ok" else "FAIL")
+    let narrative, checks =
+      Tuner.Chaos.self_test ~jobs ~app_name:e.name ~seed ~count:nfaults ~hit_frontier
+        (e.candidates (scale_of quick))
     in
-    let fault_key ((c : Tuner.Candidate.t), f) = (c.desc, Tuner.Fault.encode f) in
-    let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
-    (* Fault-free baseline: the ground truth the injected runs must
-       still recover on the surviving part of the space. *)
-    let baseline = Tuner.Search.run ~jobs ~app_name:e.name cands in
-    Printf.printf "baseline: %d valid configurations, optimum %s (%.4f ms)\n" baseline.space_size
-      baseline.best.cand.desc
-      (baseline.best.time_s *. 1000.0);
-    (* Injected sweep.  By default victims are drawn outside the
-       fault-free Pareto-selected subset: faults that miss the frontier
-       provably leave the pruned selection unchanged, which is what the
-       strict checks below assert. *)
-    let avoid =
-      if hit_frontier then []
-      else List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) baseline.selected
-    in
-    let injected_cands, injections = Tuner.Chaos.inject ~seed ~count:nfaults ~avoid cands in
+    print_string narrative;
     List.iter
-      (fun (inj : Tuner.Chaos.injection) ->
-        Printf.printf "inject %-12s -> %s\n" (Tuner.Chaos.kind_name inj.inj_kind) inj.inj_desc)
-      injections;
-    let r = Tuner.Search.run ~jobs ~app_name:e.name injected_cands in
-    Printf.printf "\n%d fault(s) recorded:\n" (List.length r.faults);
-    print_string (Tuner.Report.fault_table r.faults);
-    Printf.printf "\n";
-    let injected_descs =
-      List.sort compare (List.map (fun (i : Tuner.Chaos.injection) -> i.inj_desc) injections)
-    in
-    check "every injected candidate is reported as a fault"
-      (List.sort compare (List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) r.faults)
-      = injected_descs);
-    check "each fault carries its injected kind's tag"
-      (List.for_all
-         (fun (inj : Tuner.Chaos.injection) ->
-           match
-             List.find_opt (fun ((c : Tuner.Candidate.t), _) -> c.desc = inj.inj_desc) r.faults
-           with
-           | Some (_, f) -> Tuner.Fault.tag f = Tuner.Chaos.expected_tag inj.inj_kind
-           | None -> false)
-         injections);
-    (* The true optimum of the surviving space, from the baseline's
-       measurements (deterministic, so exact comparison is fair). *)
-    let surviving_best =
-      List.filter
-        (fun (m : Tuner.Search.measured) -> not (List.mem m.cand.desc injected_descs))
-        baseline.exhaustive
-      |> List.fold_left
-           (fun acc (m : Tuner.Search.measured) ->
-             match acc with
-             | Some (b : Tuner.Search.measured) when b.time_s <= m.time_s -> acc
-             | _ -> Some m)
-           None
-    in
-    (match surviving_best with
-    | None -> check "some candidate survived" false
-    | Some sb ->
-      check "exhaustive optimum over survivors is exact"
-        (r.best.cand.desc = sb.cand.desc && r.best.time_s = sb.time_s));
-    let sel_descs (res : Tuner.Search.result) =
-      List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) res.selected
-    in
-    if hit_frontier then
-      Printf.printf "(frontier hits allowed: optimum on curve: %s)\n"
-        (if r.optimum_selected then "yes" else "no")
-    else begin
-      check "faults off the frontier leave the selection unchanged"
-        (sel_descs r = sel_descs baseline);
-      check "pruned search still picks the fault-free choice"
-        (r.selected_best.cand.desc = baseline.selected_best.cand.desc
-        && r.selected_best.time_s = baseline.selected_best.time_s
-        && r.optimum_selected = baseline.optimum_selected)
-    end;
-    (* Kill-and-resume: stop the injected sweep after half the space,
-       re-run it against the same store, and demand the merged result
-       equals the uninterrupted one. *)
-    let nvalid = r.space_size in
-    let kr =
-      Tuner.Chaos.kill_and_resume ~jobs ~app_name:e.name ~k:(max 1 (nvalid / 2)) injected_cands
-    in
-    let resumed = kr.rs_resumed in
-    check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
-    check "resumed sweep skips the stored measurements"
-      (resumed.engine.measure_runs = nvalid - kr.rs_loaded);
-    check "resumed result equals the uninterrupted one"
-      (times resumed.exhaustive = times r.exhaustive
-      && List.map fault_key resumed.faults = List.map fault_key r.faults
-      && resumed.best.cand.desc = r.best.cand.desc
-      && resumed.best.time_s = r.best.time_s
-      && resumed.selected_best.cand.desc = r.selected_best.cand.desc
-      && resumed.selected_eval_time = r.selected_eval_time
-      && resumed.reduction = r.reduction);
-    if !failures > 0 then begin
-      Printf.printf "\n%d check(s) FAILED\n" !failures;
+      (fun (name, ok) -> Printf.printf "CHECK %-52s %s\n" name (if ok then "ok" else "FAIL"))
+      checks;
+    match List.length (List.filter (fun (_, ok) -> not ok) checks) with
+    | 0 -> Printf.printf "\nall checks passed\n"
+    | failures ->
+      Printf.printf "\n%d check(s) FAILED\n" failures;
       exit 1
-    end;
-    Printf.printf "\nall checks passed\n"
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ app_arg $ jobs_arg $ quick_arg $ seed_arg $ faults_arg $ hit_frontier_arg)
@@ -564,26 +481,26 @@ let tune_cmd =
       with_store store_file (fun store ->
           List.iter
             (fun (arch : Gpu.Arch.t) ->
+              let cands =
+                e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick)
+              in
               let tuned =
-                Tuner.Search.tune_full ~jobs ?store
-                  ~store_scale:(store_scale quick)
-                  ~app_name:e.name
-                  (e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick))
+                Tuner.Search.tune_full ~jobs ?store:(bound store e (scale_of quick) cands)
+                  ~app_name:e.name cands
               in
               winner_line arch tuned.Tuner.Search.chosen)
             Gpu.Arch.archs);
       exit 0
     end;
     let arch = resolve_arch arch_name in
-    let cands =
+    let cands, tuned =
       with_store store_file (fun store ->
-          e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick))
-    in
-    let tuned =
-      with_store store_file (fun store ->
-          Tuner.Search.tune_full ~jobs ?store
-            ~store_scale:(store_scale quick)
-            ~app_name:e.name cands)
+          let cands =
+            e.candidates ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) (scale_of quick)
+          in
+          ( cands,
+            Tuner.Search.tune_full ~jobs ?store:(bound store e (scale_of quick) cands)
+              ~app_name:e.name cands ))
     in
     let best = tuned.Tuner.Search.chosen and selected = tuned.Tuner.Search.considered in
     Printf.printf "space: %d configurations, measured only %d (%.0f%% pruned)\n"

@@ -40,6 +40,16 @@
 
 type scale = Paper | Bench | Quick | Reduced | Check
 
+(* The scale's tag in the store's space digest ([Tuner.Store.keys]):
+   two scales of one app share descs but not simulated times.  The
+   paper scale is "full", as the wire protocol names it. *)
+let scale_tag = function
+  | Paper -> "full"
+  | Bench -> "bench"
+  | Quick -> "quick"
+  | Reduced -> "reduced"
+  | Check -> "check"
+
 (* ['c] is the app's configuration, ['s] its problem size and ['p] a
    problem staged on a device. *)
 type ('c, 's, 'p) t = {

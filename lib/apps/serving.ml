@@ -7,12 +7,12 @@
 
    - the candidate list for each (app, scale) — building candidates
      compiles the whole space, which must happen once, not per request;
-   - the content address of every candidate in the space — the store
-     key digests rendered PTX, and re-rendering it on each of thousands
-     of warm requests would dwarf the actual lookup.
+   - the space's [Tuner.Store.keys] — the store key digests rendered
+     PTX, and re-rendering it on each of thousands of warm requests
+     would dwarf the actual lookup.
 
-   The memo tables are filled under a lock and read-only afterwards, so
-   connection-worker domains share them freely. *)
+   The memo table is filled under a lock and read-only afterwards, so
+   connection-worker domains share it freely. *)
 
 let app_scale : Tuner.Proto.scale -> App.scale = function
   | Quick -> Quick
@@ -40,36 +40,20 @@ let resolver () : Tuner.Serve.resolver =
     | None, _ -> Error (unknown_app app)
     | _, None -> Error (unknown_arch arch_name)
     | Some e, Some arch ->
-      let arch_d = Tuner.Store.arch_digest ~arch () in
-      let scale_n = Tuner.Proto.scale_name scale in
-      let memo_key = app ^ "/" ^ scale_n ^ "/" ^ arch_name in
+      let memo_key = app ^ "/" ^ Tuner.Proto.scale_name scale ^ "/" ^ arch_name in
       Mutex.protect cache_lock (fun () ->
           match Hashtbl.find_opt cache memo_key with
           | Some sp -> Ok sp
           | None ->
             let cands = scale_candidates e ~arch scale in
-            let descs =
-              List.filter_map
-                (fun (c : Tuner.Candidate.t) -> if c.valid then Some c.desc else None)
-                cands
+            let scale = app_scale scale in
+            let sp =
+              {
+                Tuner.Serve.sp_cands = cands;
+                sp_store_key = Tuner.Store.keys ~app_name:e.name ~scale:(App.scale_tag scale) cands;
+                sp_reduced = lazy (Registry.race_candidates e ~arch scale cands);
+              }
             in
-            (* Same space digest as the direct [Search.bind_store] path:
-               arch distinctness lives in [arch_d], so served and direct
-               sweeps share warm store entries per arch. *)
-            let space = Tuner.Store.space_digest ~app_name:app ~scale:scale_n descs in
-            let keys = Hashtbl.create (List.length cands) in
-            List.iter
-              (fun (c : Tuner.Candidate.t) ->
-                Hashtbl.replace keys c.desc
-                  (Tuner.Store.candidate_key ~arch:arch_d ~space c))
-              cands;
-            let sp_store_key (c : Tuner.Candidate.t) =
-              match Hashtbl.find_opt keys c.desc with
-              | Some k -> k
-              | None -> Tuner.Store.candidate_key ~arch:arch_d ~space c
-            in
-            let sp_reduced = lazy (Registry.race_candidates e ~arch (app_scale scale) cands) in
-            let sp = { Tuner.Serve.sp_cands = cands; sp_store_key; sp_reduced } in
             Hashtbl.replace cache memo_key sp;
             Ok sp)
   in

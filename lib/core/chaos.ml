@@ -216,9 +216,12 @@ type resume = {
    shared store. *)
 let kill_and_resume ?jobs ~(app_name : string) ~(k : int) (cands : Candidate.t list) : resume =
   let file = Filename.temp_file "gpuopt-chaos-" ".store" in
+  let sb_key = Store.keys ~app_name ~scale:"full" cands in
   let with_store f =
     let store = Store.open_ ~file () in
-    Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () -> f { Measure.sb_store = store; sb_key })
   in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
@@ -232,7 +235,100 @@ let kill_and_resume ?jobs ~(app_name : string) ~(k : int) (cands : Candidate.t l
       in
       with_store (fun store ->
           let rs_resumed = Search.run ?jobs ~store ~app_name cands in
-          { rs_cancelled; rs_loaded = Store.loaded store; rs_resumed }))
+          { rs_cancelled; rs_loaded = Store.loaded store.sb_store; rs_resumed }))
+
+(* ------------------------------------------------------------------ *)
+(* The self-test                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The fault-tolerance claim, checked end to end on [cands]: a
+   fault-free baseline sweep; a sweep with [count] seeded injections
+   (drawn off the baseline's Pareto-selected subset unless
+   [hit_frontier]); then the injected sweep killed halfway and resumed
+   through a fresh store.  Returns the narrative (baseline, victims,
+   fault table) and the named checks in order; `gpuopt chaos` and the
+   bench's chaos exhibit both print these. *)
+let self_test ?jobs ~(app_name : string) ~(seed : int) ~(count : int) ~(hit_frontier : bool)
+    (cands : Candidate.t list) : string * (string * bool) list =
+  let buf = Buffer.create 1024 in
+  let say fmt = Printf.bprintf buf fmt in
+  let checks = ref [] in
+  let check name ok = checks := (name, ok) :: !checks in
+  let fault_key ((c : Candidate.t), f) = (c.desc, Fault.encode f) in
+  let times ms = List.map (fun (m : Search.measured) -> (m.cand.desc, m.time_s)) ms in
+  (* Fault-free baseline: the ground truth the injected runs must
+     still recover on the surviving part of the space. *)
+  let baseline = Search.run ?jobs ~app_name cands in
+  say "baseline: %d valid configurations, optimum %s (%.4f ms)\n" baseline.space_size
+    baseline.best.cand.desc
+    (baseline.best.time_s *. 1000.0);
+  (* Faults that miss the frontier provably leave the pruned selection
+     unchanged, which is what the strict checks below assert. *)
+  let avoid =
+    if hit_frontier then []
+    else List.map (fun ((c : Candidate.t), _) -> c.desc) baseline.selected
+  in
+  let injected_cands, injections = inject ~seed ~count ~avoid cands in
+  List.iter
+    (fun inj -> say "inject %-12s -> %s\n" (kind_name inj.inj_kind) inj.inj_desc)
+    injections;
+  let r = Search.run ?jobs ~app_name injected_cands in
+  say "\n%d fault(s) recorded:\n%s\n" (List.length r.faults) (Report.fault_table r.faults);
+  let injected_descs = List.sort compare (List.map (fun i -> i.inj_desc) injections) in
+  check "every injected candidate is reported as a fault"
+    (List.sort compare (List.map (fun ((c : Candidate.t), _) -> c.desc) r.faults)
+    = injected_descs);
+  check "each fault carries its injected kind's tag"
+    (List.for_all
+       (fun inj ->
+         match List.find_opt (fun ((c : Candidate.t), _) -> c.desc = inj.inj_desc) r.faults with
+         | Some (_, f) -> Fault.tag f = expected_tag inj.inj_kind
+         | None -> false)
+       injections);
+  (* The true optimum of the surviving space, from the baseline's
+     measurements (deterministic, so exact comparison is fair). *)
+  (match
+     Util.Stats.argmin
+       (fun (m : Search.measured) -> m.time_s)
+       (List.filter
+          (fun (m : Search.measured) -> not (List.mem m.cand.desc injected_descs))
+          baseline.exhaustive)
+   with
+  | None -> check "some candidate survived" false
+  | Some sb ->
+    check "exhaustive optimum over survivors is exact"
+      (r.best.cand.desc = sb.cand.desc && r.best.time_s = sb.time_s));
+  if hit_frontier then
+    say "(frontier hits allowed: optimum on curve: %s)\n"
+      (if r.optimum_selected then "yes" else "no")
+  else begin
+    let sel_descs (res : Search.result) =
+      List.map (fun ((c : Candidate.t), _) -> c.desc) res.selected
+    in
+    check "faults off the frontier leave the selection unchanged"
+      (sel_descs r = sel_descs baseline);
+    check "pruned search still picks the fault-free choice"
+      (r.selected_best.cand.desc = baseline.selected_best.cand.desc
+      && r.selected_best.time_s = baseline.selected_best.time_s
+      && r.optimum_selected = baseline.optimum_selected)
+  end;
+  (* Kill-and-resume: stop the injected sweep after half the space,
+     re-run it against the same store, and demand the merged result
+     equals the uninterrupted one. *)
+  let kr = kill_and_resume ?jobs ~app_name ~k:(max 1 (r.space_size / 2)) injected_cands in
+  let resumed = kr.rs_resumed in
+  check "sweep is cancelled at its k-th measurement" kr.rs_cancelled;
+  check "resumed sweep skips the stored measurements"
+    (resumed.engine.measure_runs = r.space_size - kr.rs_loaded);
+  check "resumed result equals the uninterrupted one"
+    (times resumed.exhaustive = times r.exhaustive
+    && List.map fault_key resumed.faults = List.map fault_key r.faults
+    && resumed.best.cand.desc = r.best.cand.desc
+    && resumed.best.time_s = r.best.time_s
+    && resumed.selected_best.cand.desc = r.selected_best.cand.desc
+    && resumed.selected_eval_time = r.selected_eval_time
+    && resumed.reduction = r.reduction);
+  (Buffer.contents buf, List.rev !checks)
 
 (* ------------------------------------------------------------------ *)
 (* Wire-level chaos: misbehaving clients for the tuning daemon         *)

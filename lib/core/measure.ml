@@ -35,9 +35,11 @@ type measured = { cand : Candidate.t; time_s : float }
    classified fault that ended it. *)
 type outcome = (float, Fault.t) result
 
-(* A shared result store bound to this engine: where to look before
-   running the simulator, and how to derive a candidate's
-   content-addressed key. *)
+(* A shared result store together with the content address of every
+   candidate the engine may measure ([Store.keys]): where to look before
+   running the simulator, and under which key to record what it pays
+   for.  Every entry point that measures takes the store as this one
+   value. *)
 type store_binding = { sb_store : Store.t; sb_key : Candidate.t -> string }
 
 type t = {
@@ -65,13 +67,13 @@ let create ~app_name () =
     store = None;
   }
 
-(* Bind a content-addressed result store.  [key] derives a candidate's
-   store key (see [Store.candidate_key]); the caller fixes the arch and
-   space digests so the engine never recomputes them per candidate. *)
-let attach_store t ~(store : Store.t) ~(key : Candidate.t -> string) : unit =
+(* Bind a content-addressed result store and its keys. *)
+let attach_store t (sb : store_binding) : unit =
   Mutex.protect t.lock (fun () ->
       if t.store <> None then invalid_arg "Measure.attach_store: store already attached";
-      t.store <- Some { sb_store = store; sb_key = key })
+      t.store <- Some sb)
+
+let store t : store_binding option = Mutex.protect t.lock (fun () -> t.store)
 
 (* ------------------------------------------------------------------ *)
 (* Cache lookups                                                       *)
@@ -114,16 +116,13 @@ let time_exn t (c : Candidate.t) : float =
 (* ------------------------------------------------------------------ *)
 
 (* Record one settled outcome under the lock: cache, bookkeeping and
-   the result store (when attached).  [store_key] is the candidate's
-   content address, computed by the worker off the lock. *)
-let record t desc ?(store_key : string option) (o : outcome) (host_s : float) : unit =
+   the result store (when attached). *)
+let record t (c : Candidate.t) (o : outcome) (host_s : float) : unit =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.cache desc o;
-      Hashtbl.replace t.host desc host_s;
+      Hashtbl.replace t.cache c.desc o;
+      Hashtbl.replace t.host c.desc host_s;
       t.runs <- t.runs + 1;
-      match (t.store, store_key) with
-      | Some sb, Some key -> Store.put sb.sb_store ~key ~desc o
-      | _ -> ())
+      Option.iter (fun sb -> Store.put sb.sb_store ~key:(sb.sb_key c) ~desc:c.desc o) t.store)
 
 (* Measure every candidate of [cands], in parallel over [jobs] domains
    (default [Pool.default_jobs ()]), skipping those already settled in
@@ -141,7 +140,7 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
      duplicates within one batch collapse to a single run, and the
      result store (when attached) settles candidates any client has
      ever measured without touching the simulator. *)
-  let store_binding = Mutex.protect t.lock (fun () -> t.store) in
+  let store_binding = store t in
   let from_store (c : Candidate.t) : outcome option =
     match store_binding with
     | None -> None
@@ -179,12 +178,9 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
            thunks skip the simulator: their outcomes are unwanted. *)
         if cancelled () then ()
         else begin
-          (* The content address digests the candidate's PTX: compute it
-             on the worker, off the engine lock. *)
-          let store_key = Option.map (fun sb -> sb.sb_key c) store_binding in
           let t0 = Unix.gettimeofday () in
           let o = Fault.run_candidate c in
-          record t c.desc ?store_key o (Unix.gettimeofday () -. t0)
+          record t c o (Unix.gettimeofday () -. t0)
         end)
       to_run
   in

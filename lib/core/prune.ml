@@ -70,9 +70,6 @@ type outcome = {
   pr_winner : Measure.measured;  (* fastest fully-simulated candidate *)
   pr_ranked : (string * float) list;  (* desc, predicted seconds; rung-0 rank order *)
   pr_model : Predict.model;
-  pr_residuals : (string * float * float) list;
-      (* desc, predicted s, measured s — every fully simulated point,
-         space order; journaled to the store for later refits *)
 }
 
 (* 1-based rung-0 rank of a desc (how early prediction alone would have
@@ -105,56 +102,16 @@ let sample ~seed k (xs : 'a list) : 'a list =
   done;
   Array.to_list (Array.sub a 0 (min k (Array.length a)))
 
-(* Bind the reduced-scale engine to the store under the REDUCED space
-   digest, so every race of the same space — warm daemon, CLI, bench —
-   shares entries (mirrors [Search.bind_store], which lives above this
-   module). *)
-let bind_reduced_store engine ~app_name ~(scale : string) (reduced : Candidate.t list) store :
-    unit =
-  match (store, reduced) with
-  | None, _ | _, [] -> ()
-  | Some st, c0 :: _ ->
-    let arch = Store.arch_digest ~arch:c0.Candidate.arch () in
-    let descs =
-      List.filter_map
-        (fun (c : Candidate.t) -> if c.valid then Some c.desc else None)
-        reduced
-    in
-    let space = Store.space_digest ~app_name ~scale descs in
-    Measure.attach_store engine ~store:st ~key:(fun c -> Store.candidate_key ~arch ~space c)
-
-(* Store key for the model + residual journal blob: the full space's
-   content address tagged with the feature version, so a refit on a
-   warm store overwrites nothing from other spaces and the blob
-   invalidates itself when the features change. *)
-let blob_key ~(app_name : string) ~(scale : string) (valid : Candidate.t list) : string =
-  match valid with
-  | [] -> Digest.to_hex (Digest.string "predict-empty")
-  | c0 :: _ ->
-    let arch = Store.arch_digest ~arch:c0.Candidate.arch () in
-    let space =
-      Store.space_digest ~app_name ~scale (List.map (fun (c : Candidate.t) -> c.desc) valid)
-    in
-    Digest.to_hex (Digest.string (String.concat "|" [ arch; space; "predict-v1" ]))
-
-let blob_content (o : outcome) : string =
-  String.concat "\n"
-    (Predict.to_lines o.pr_model
-    @ List.map
-        (fun (d, p, m) ->
-          Printf.sprintf "residual %S %s %s" d (Hexfloat.to_string p) (Hexfloat.to_string m))
-        o.pr_residuals)
-  ^ "\n"
-
 (* The race itself.  [engine] is the FULL-scale measurement engine —
    the caller owns its store binding, and an engine that already holds
    exhaustive measurements (the explore comparison path) answers the
    probe and survivor requests from cache, so the structural counts in
-   the outcome stay honest either way.  [store] additionally backs the
-   reduced-scale race and receives the residual journal. *)
-let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cancel
-    ~(engine : Measure.t) ~(app_name : string) (s : spec) (cands : Candidate.t list) : outcome
-    =
+   the outcome stay honest either way.  The store bound to [engine], if
+   any, also backs the reduced-scale race, keyed by the REDUCED space
+   digest so every race of the same space — warm daemon, CLI, bench —
+   shares entries. *)
+let run ?jobs ?cancel ~(engine : Measure.t) ~(app_name : string) (s : spec)
+    (cands : Candidate.t list) : outcome =
   let plan = s.sp_plan in
   let valid = List.filter (fun (c : Candidate.t) -> c.valid) cands in
   let n = List.length valid in
@@ -218,7 +175,11 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
     fun (c : Candidate.t) -> Hashtbl.find_opt tbl c.desc
   in
   let rengine = Measure.create ~app_name () in
-  bind_reduced_store rengine ~app_name ~scale:reduced_scale s.sp_reduced store;
+  Option.iter
+    (fun (sb : Measure.store_binding) ->
+      Measure.attach_store rengine
+        { sb with sb_key = Store.keys ~app_name ~scale:"reduced" s.sp_reduced })
+    (Measure.store engine);
   let with_twin =
     List.filter_map (fun ((c : Candidate.t), _) -> Option.map (fun r -> (c, r)) (twin c)) raced
   in
@@ -292,32 +253,15 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
     | Some (c, t) -> { Measure.cand = c; time_s = t }
     | None -> assert false
   in
-  let outcome =
-    {
-      pr_total = n;
-      pr_budget = budget;
-      pr_probes = probe_descs;
-      pr_raced = List.length raced;
-      pr_reduced_missing = missing;
-      pr_survivors = List.map (fun (c : Candidate.t) -> c.desc) survivors;
-      pr_simulated = List.length probes + List.length survivors;
-      pr_winner = winner;
-      pr_ranked = List.map (fun ((c : Candidate.t), p) -> (c.desc, p)) ranked;
-      pr_model = model;
-      pr_residuals =
-        List.map
-          (fun ((c : Candidate.t), t) -> (c.desc, Float.exp (Predict.predict model (feat_of c)), t))
-          pool;
-    }
-  in
-  (match store with
-  | None -> ()
-  | Some st ->
-    (* Journal the model and its predicted-vs-measured residuals as a
-       store blob keyed by the space's content address: a warm store
-       re-answers every probe from disk, so the refit costs nothing,
-       and the journal documents what the model believed when it did. *)
-    Store.put_blob st
-      ~key:(blob_key ~app_name ~scale:store_scale valid)
-      ~name:("predict/" ^ app_name) (blob_content outcome));
-  outcome
+  {
+    pr_total = n;
+    pr_budget = budget;
+    pr_probes = probe_descs;
+    pr_raced = List.length raced;
+    pr_reduced_missing = missing;
+    pr_survivors = List.map (fun (c : Candidate.t) -> c.desc) survivors;
+    pr_simulated = List.length probes + List.length survivors;
+    pr_winner = winner;
+    pr_ranked = List.map (fun ((c : Candidate.t), p) -> (c.desc, p)) ranked;
+    pr_model = model;
+  }

@@ -75,52 +75,17 @@ type result = {
          measured against this result's exhaustive ground truth *)
 }
 
-(* The machine model a candidate list targets.  Candidate lists are
-   homogeneous in arch (a sweep is per machine; [run_archs] builds one
-   list per registry entry), so the first candidate speaks for all. *)
-let arch_of (cands : Candidate.t list) : Gpu.Arch.t =
-  match cands with c :: _ -> c.arch | [] -> Gpu.Arch.g80
-
-(* Bind a content-addressed result store to a measurement engine.  The
-   key function defaults to [Store.candidate_key] over the current
-   architecture and this candidate space ([store_scale] tags the
-   problem scale — quick and paper-scale spaces share descs but not
-   simulated times, see [Store.space_digest]).  Callers that issue many
-   sweeps over the same space (the serve daemon) pass a memoized
-   [store_key] instead, so the space digest is not recomputed per
-   request. *)
-let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~store_key
-    ~store_scale : unit =
-  match store with
-  | None -> ()
-  | Some st ->
-    let key =
-      match store_key with
-      | Some k -> k
-      | None ->
-        let arch = Store.arch_digest ~arch:(arch_of cands) () in
-        let scale = Option.value store_scale ~default:"full" in
-        let descs =
-          List.filter_map
-            (fun (c : Candidate.t) -> if c.valid then Some c.desc else None)
-            cands
-        in
-        let space = Store.space_digest ~app_name ~scale descs in
-        fun c -> Store.candidate_key ~arch ~space c
-    in
-    Measure.attach_store engine ~store:st ~key
-
 (* [?jobs] is the number of measurement worker domains (default: the
    GPUOPT_JOBS environment variable, else cores - 1, min 1 — see
    [Util.Pool.default_jobs]).  The result is identical for every value
    of [jobs]: measurement order does not affect simulated times, and
    all orderings in [result] follow the input candidate order.
 
-   [?store] attaches the persistent content-addressed store: points it
-   already holds are answered without the simulator, and new
-   measurements are appended as they land, for every later client —
-   so a sweep killed partway resumes by re-running it against the same
-   store (see [bind_store] for [?store_key] / [?store_scale]).
+   [?store] attaches the persistent content-addressed store together
+   with the space's keys ([Store.keys]): points it already holds are
+   answered without the simulator, and new measurements are appended
+   as they land, for every later client — so a sweep killed partway
+   resumes by re-running it against the same store.
 
    [?predict] additionally runs the model-driven race ([Prune.run])
    against the same engine.  Because the exhaustive sweep has already
@@ -134,14 +99,14 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
    token trips with measurements still outstanding aborts with
    [Cancel.Cancelled] instead of holding its worker; outcomes settled
    before the trip stay cached and stored for the retry. *)
-let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budget_frac ?cancel
-    ~(app_name : string) (cands : Candidate.t list) : result =
+let run ?jobs ?(fail_fast = false) ?store ?predict ?budget_frac ?cancel ~(app_name : string)
+    (cands : Candidate.t list) : result =
   let valid, invalid = List.partition (fun (c : Candidate.t) -> c.valid) cands in
   if valid = [] then invalid_arg (app_name ^ ": no valid configuration in the space");
   let all = List.map (fun c -> (c, Metrics.of_candidate c)) valid in
   let stats = engine_stats_since () in
   let engine = Measure.create ~app_name () in
-  bind_store engine ~app_name cands ~store ~store_key ~store_scale;
+  Option.iter (Measure.attach_store engine) store;
   (* Exhaustive exploration: measure everything; faults settle as
      recorded outcomes instead of killing the sweep. *)
   let outcomes = Measure.measure_outcomes ?jobs ?cancel engine valid in
@@ -216,7 +181,7 @@ let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budg
         | Some f ->
           { spec with Prune.sp_plan = { spec.Prune.sp_plan with Prune.pl_budget_frac = f } }
       in
-      Some (Prune.run ?jobs ?store ?store_scale ?cancel ~engine ~app_name spec valid)
+      Some (Prune.run ?jobs ?cancel ~engine ~app_name spec valid)
   in
   {
     app_name;
@@ -252,8 +217,7 @@ type tuned = {
   tune_engine : engine_stats;
 }
 
-let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
-    (cands : Candidate.t list) : tuned =
+let tune_full ?jobs ?store ?cancel ~(app_name : string) (cands : Candidate.t list) : tuned =
   let valid = List.filter (fun (c : Candidate.t) -> c.valid) cands in
   if valid = [] then invalid_arg (app_name ^ ": no valid configuration in the space");
   let all = List.map (fun c -> (c, Metrics.of_candidate c)) valid in
@@ -262,7 +226,7 @@ let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
   in
   let stats = engine_stats_since () in
   let engine = Measure.create ~app_name () in
-  bind_store engine ~app_name cands ~store ~store_key ~store_scale;
+  Option.iter (Measure.attach_store engine) store;
   let outcomes = Measure.measure_outcomes ?jobs ?cancel engine (List.map fst selected) in
   let measured =
     List.filter_map
@@ -300,24 +264,25 @@ type arch_result = { ar_arch : Gpu.Arch.t; ar_result : result }
    carries.  Each arch gets its own measurement engine (the engine's
    memo key is the candidate desc, which repeats across arches) and
    its own store keys (the arch digest differs), so distinct machines
-   can never exchange measurements.  Archs run sequentially in
-   registry order; [?jobs] parallelizes within each arch's sweep, so
-   results are bit-identical for every jobs value. *)
-let run_archs ?jobs ?fail_fast ?store ?store_scale ~(app_name : string)
-    ~(archs : Gpu.Arch.t list) (candidates_of : Gpu.Arch.t -> Candidate.t list) :
+   can never exchange measurements: [candidates_of] returns each arch's
+   candidates with the store bound to their keys, if any.  Archs run
+   sequentially in registry order; [?jobs] parallelizes within each
+   arch's sweep, so results are bit-identical for every jobs value. *)
+let run_archs ?jobs ?fail_fast ~(app_name : string) ~(archs : Gpu.Arch.t list)
+    (candidates_of : Gpu.Arch.t -> Candidate.t list * Measure.store_binding option) :
     arch_result list =
   if archs = [] then invalid_arg (app_name ^ ": empty arch list");
   let axis = Space.axis ~name:"arch" ~show:(fun (a : Gpu.Arch.t) -> a.name) archs in
   List.map
     (fun (arch : Gpu.Arch.t) ->
-      let cands = candidates_of arch in
+      let cands, store = candidates_of arch in
       (match List.find_opt (fun (c : Candidate.t) -> c.arch.name <> arch.name) cands with
       | Some c ->
         invalid_arg
           (Printf.sprintf "%s: candidate %s targets arch %s inside the %s sweep" app_name
              c.desc c.arch.name arch.name)
       | None -> ());
-      let r = run ?jobs ?fail_fast ?store ?store_scale ~app_name cands in
+      let r = run ?jobs ?fail_fast ?store ~app_name cands in
       { ar_arch = arch; ar_result = r })
     (Space.configs axis)
 

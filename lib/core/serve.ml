@@ -11,8 +11,8 @@
 
    Layering.  This module knows nothing about the concrete applications:
    a [resolver], built by the binary from [Apps.Registry], maps an
-   (app, scale) pair to its candidate list and a memoized store-key
-   function.  Everything below the resolver is the existing machinery —
+   (app, scale) pair to its candidate list and its precomputed store
+   keys.  Everything below the resolver is the existing machinery —
    [Search] for the sweeps, [Measure] (with the store bound) for
    memoized parallel measurement over [Util.Pool] domains, [Chaos] for
    fault injection, [Fault] for the taxonomy.
@@ -43,8 +43,8 @@
 type resolved_space = {
   sp_cands : Candidate.t list;
   sp_store_key : Candidate.t -> string;
-      (* memoized content address for this (app, scale, arch) space, so
-         a request does not re-render PTX to digest the space *)
+      (* the space's [Store.keys], built once per (app, scale, arch), so
+         a warm request looks its keys up instead of re-rendering PTX *)
   sp_reduced : Candidate.t list Lazy.t;
       (* the app's reduced-shape (quick) space on the same arch — the
          racing rung of a predict-flagged explore; lazy because most
@@ -131,6 +131,10 @@ let stats t : Proto.server_stats =
 let row_of_measured (m : Search.measured) : Proto.measured_row =
   { Proto.m_desc = m.cand.desc; m_time_s = m.time_s }
 
+(* The server's store together with the space's precomputed keys. *)
+let bound t (sp : resolved_space) : Measure.store_binding =
+  { Measure.sb_store = t.store; sb_key = sp.sp_store_key }
+
 let descs_of sel = List.map (fun ((c : Candidate.t), _) -> c.desc) sel
 
 let handle_tune t ~app ~scale ~(arch : string option) ~(cancel : Cancel.t option) :
@@ -140,8 +144,7 @@ let handle_tune t ~app ~scale ~(arch : string option) ~(cancel : Cancel.t option
   | Error (e_code, e_msg) -> Error_r { e_code; e_msg }
   | Ok sp ->
     let r =
-      Search.tune_full ?jobs:t.jobs ?cancel ~store:t.store ~store_key:sp.sp_store_key
-        ~app_name:app sp.sp_cands
+      Search.tune_full ?jobs:t.jobs ?cancel ~store:(bound t sp) ~app_name:app sp.sp_cands
     in
     note_engine t r.tune_engine;
     Tune_r
@@ -175,8 +178,8 @@ let handle_explore t ~app ~scale ~(chaos : Proto.chaos_spec option) ~(arch : str
             Some (Prune.spec ~reduced:(Lazy.force sp.sp_reduced) ())
           else None
         in
-        Search.run ?jobs:t.jobs ?cancel ?predict:pspec ~store:t.store
-          ~store_key:sp.sp_store_key ~app_name:app sp.sp_cands
+        Search.run ?jobs:t.jobs ?cancel ?predict:pspec ~store:(bound t sp) ~app_name:app
+          sp.sp_cands
       | Some { ch_seed; ch_count } ->
         (* Injected faults are synthetic: measuring them through the
            store would record them under healthy candidates' content

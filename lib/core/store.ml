@@ -119,6 +119,34 @@ let key ~(arch : string) ~(space : string) ~(kernel : string) : string =
 let candidate_key ~(arch : string) ~(space : string) (c : Candidate.t) : string =
   key ~arch ~space ~kernel:(kernel_digest c)
 
+(* The store address of every valid candidate of one space, worked out
+   once: the arch digest from the list (a sweep targets one machine, so
+   the first candidate speaks for all), the space digest over the valid
+   descs under [scale] (e.g. "full", "quick", "reduced"), and each valid
+   candidate's key.  The table is read-only once built, so the returned
+   function is safe to call from any domain.  Asking for a candidate
+   outside the space is a caller bug and raises. *)
+let keys ~(app_name : string) ~(scale : string) (cands : Candidate.t list) :
+    Candidate.t -> string =
+  let valid = List.filter (fun (c : Candidate.t) -> c.valid) cands in
+  let arch =
+    arch_digest ?arch:(match cands with c :: _ -> Some c.arch | [] -> None) ()
+  in
+  let space =
+    space_digest ~app_name ~scale (List.map (fun (c : Candidate.t) -> c.desc) valid)
+  in
+  let tbl = Hashtbl.create (List.length valid) in
+  List.iter
+    (fun (c : Candidate.t) -> Hashtbl.replace tbl c.desc (candidate_key ~arch ~space c))
+    valid;
+  fun (c : Candidate.t) ->
+    match Hashtbl.find_opt tbl c.desc with
+    | Some k -> k
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Store.keys: %s/%s: candidate %S is not a valid member of the space"
+           app_name scale c.desc)
+
 (* ------------------------------------------------------------------ *)
 (* Record payloads                                                     *)
 (* ------------------------------------------------------------------ *)

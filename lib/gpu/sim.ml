@@ -32,9 +32,7 @@
    accessors, write paths and latency classes resolved once per launch,
    so the per-issue path performs no instruction-set dispatch, no
    operand validation and no allocation.  The scheduler keeps runnable
-   warps in a min-heap keyed by earliest-issue cycle (see [run_sm]);
-   a linear-scan reference scheduler is retained behind [?scheduler]
-   for differential testing.  Both produce bit-identical statistics. *)
+   warps in a min-heap keyed by earliest-issue cycle (see [run_sm]). *)
 
 open Ptx
 
@@ -96,13 +94,6 @@ type launch = {
 type mode =
   | Functional  (* execute every block; no occupancy requirement *)
   | Timing of { max_blocks : int }  (* cap simulated blocks on the measured SM *)
-
-(* Warp scheduler selection.  [Heap] is the production scheduler: a
-   min-heap of runnable warps keyed by (earliest issue cycle, admission
-   order).  [Scan] is the pre-heap reference — a linear scan over the
-   resident warps per issue — kept for differential testing; both are
-   bit-identical in every statistic. *)
-type scheduler = Heap | Scan
 
 (* Dynamic counters for one memory instruction (Ld/St), identified by
    its (block label, body index) in the launched program.  [sc_tx] and
@@ -1492,33 +1483,44 @@ let heap_pop (h : wheap) : warp =
 
 (* Run [block_coords] through one SM with at most [b_sm] resident
    blocks; returns the cycle the last block finishes. *)
-let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
-    (block_coords : (int * int) list) (b_sm : int) : int =
+let run_sm (env : env) (ck : ckernel) (block_coords : (int * int) list) (b_sm : int) : int =
   let lat = env.lat in
   let pending_blocks = ref block_coords in
   let resident_blocks = ref 0 in
   let finish_cycle = ref 0 in
   let seq = ref 0 in
   let n_unfinished = ref 0 in
-  (* Warp wake-up on barrier completion: reset the arrival count and
-     wake every live warp of the block (including the warp that issued
-     the completing Bar). *)
-  let base_release (blk : block_st) (c : int) =
+  (* Runnable warps, keyed by (earliest issue cycle, admission order). *)
+  let heap = { hkey = Array.make 0 0; hw = [||]; hn = 0 } in
+  (* Warp wake-up on barrier completion: reset the arrival count, wake
+     every live warp of the block (including the warp that issued the
+     completing Bar) and put it back in the heap. *)
+  let release (blk : block_st) (c : int) =
     blk.arrived <- 0;
     Array.iter
       (fun w' ->
         if not w'.finished then begin
           w'.at_barrier <- false;
-          w'.wake <- max w'.wake (c + lat.issue)
+          w'.wake <- max w'.wake (c + lat.issue);
+          if not w'.in_heap then heap_push heap w'.wake w'
         end)
       blk.warps
   in
-  (* Bookkeeping shared by both schedulers after warp [w] issued at
-     cycle [c] with issue-pipe cost [cost]; [retire] removes a finished
-     block's warps from the scheduler structure, [admit] brings in
-     pending blocks.  Returns true while the SM still has work. *)
-  let post_issue ~(release : block_st -> int -> unit) ~(retire : block_st -> unit)
-      ~(admit : int -> unit) (w : warp) (c : int) (cost : int) =
+  let admit c =
+    while !resident_blocks < b_sm && !pending_blocks <> [] do
+      match !pending_blocks with
+      | [] -> ()
+      | (bx, by) :: rest ->
+        pending_blocks := rest;
+        let blk = make_block env ck ~seq bx by c in
+        incr resident_blocks;
+        n_unfinished := !n_unfinished + Array.length blk.warps;
+        Array.iter (fun w -> heap_push heap w.wake w) blk.warps
+    done
+  in
+  (* Bookkeeping after warp [w] issued at cycle [c] with issue-pipe
+     cost [cost]: a finished block makes room for pending ones. *)
+  let post_issue (w : warp) (c : int) (cost : int) =
     if env.timing then env.sm.issue_free <- c + cost;
     if w.finished then begin
       decr n_unfinished;
@@ -1529,128 +1531,31 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
       if blk.live_warps > 0 && blk.arrived >= blk.live_warps then release blk c;
       if blk.live_warps = 0 then begin
         finish_cycle := max !finish_cycle (c + lat.issue);
-        retire blk;
         decr resident_blocks;
         admit (c + lat.issue)
       end
     end;
     if env.timing then finish_cycle := max !finish_cycle env.sm.issue_free
   in
-  (match scheduler with
-  | Heap ->
-    let heap = { hkey = Array.make 0 0; hw = [||]; hn = 0 } in
-    let release blk c =
-      base_release blk c;
-      Array.iter
-        (fun w' ->
-          if (not w'.finished) && (not w'.at_barrier) && not w'.in_heap then
-            heap_push heap w'.wake w')
-        blk.warps
-    in
-    let admit c =
-      while !resident_blocks < b_sm && !pending_blocks <> [] do
-        match !pending_blocks with
-        | [] -> ()
-        | (bx, by) :: rest ->
-          pending_blocks := rest;
-          let blk = make_block env ck ~seq bx by c in
-          incr resident_blocks;
-          n_unfinished := !n_unfinished + Array.length blk.warps;
-          Array.iter (fun w -> heap_push heap w.wake w) blk.warps
-      done
-    in
-    let retire (_ : block_st) = () (* finished warps are never in the heap *) in
-    admit 0;
-    while heap.hn > 0 do
-      let w = heap_pop heap in
-      let e = warp_earliest env ck w in
-      if
-        heap.hn > 0
-        && not
-             (e < heap.hkey.(0) || (e = heap.hkey.(0) && w.seq < heap.hw.(0).seq))
-      then
-        (* Another warp may be earlier: reinsert with the exact key and
-           look again.  Keys only grow, so this terminates. *)
-        heap_push heap e w
-      else begin
-        let c = if env.timing then max e env.sm.issue_free else e in
-        let cost = issue env ck ~release w c in
-        if (not w.finished) && (not w.at_barrier) && not w.in_heap then
-          heap_push heap w.wake w;
-        post_issue ~release ~retire ~admit w c cost
-      end
-    done;
-    if !n_unfinished > 0 then failwith "Sim: deadlock — all live warps waiting at a barrier"
-  | Scan ->
-    (* Reference scheduler: pick the runnable warp with the smallest
-       earliest-issue cycle by scanning the resident array in admission
-       order (ties resolve to the lowest admission seq, exactly the
-       heap's order). *)
-    let rv = ref [||] in
-    let rn = ref 0 in
-    let push w =
-      if !rn = Array.length !rv then begin
-        let cap = max 8 (2 * Array.length !rv) in
-        let nv = Array.make cap w in
-        Array.blit !rv 0 nv 0 !rn;
-        rv := nv
-      end;
-      !rv.(!rn) <- w;
-      incr rn
-    in
-    let release = base_release in
-    let admit c =
-      while !resident_blocks < b_sm && !pending_blocks <> [] do
-        match !pending_blocks with
-        | [] -> ()
-        | (bx, by) :: rest ->
-          pending_blocks := rest;
-          let blk = make_block env ck ~seq bx by c in
-          incr resident_blocks;
-          n_unfinished := !n_unfinished + Array.length blk.warps;
-          Array.iter push blk.warps
-      done
-    in
-    let retire (blk : block_st) =
-      (* In-place compaction preserving admission order. *)
-      let k = ref 0 in
-      for i = 0 to !rn - 1 do
-        let w = !rv.(i) in
-        if w.blk != blk then begin
-          !rv.(!k) <- w;
-          incr k
-        end
-      done;
-      rn := !k
-    in
-    admit 0;
-    let continue_ = ref (!rn > 0) in
-    while !continue_ do
-      let best_w = ref None in
-      let best_e = ref 0 in
-      for i = 0 to !rn - 1 do
-        let w = !rv.(i) in
-        if (not w.finished) && not w.at_barrier then begin
-          let e = warp_earliest env ck w in
-          match !best_w with
-          | Some _ when !best_e <= e -> ()
-          | _ ->
-            best_w := Some w;
-            best_e := e
-        end
-      done;
-      (match !best_w with
-      | None ->
-        if !n_unfinished > 0 then
-          failwith "Sim: deadlock — all live warps waiting at a barrier"
-        else continue_ := false
-      | Some w ->
-        let e = !best_e in
-        let c = if env.timing then max e env.sm.issue_free else e in
-        let cost = issue env ck ~release w c in
-        post_issue ~release ~retire ~admit w c cost;
-        if !rn = 0 && !pending_blocks = [] then continue_ := false)
-    done);
+  admit 0;
+  while heap.hn > 0 do
+    let w = heap_pop heap in
+    let e = warp_earliest env ck w in
+    if
+      heap.hn > 0
+      && not (e < heap.hkey.(0) || (e = heap.hkey.(0) && w.seq < heap.hw.(0).seq))
+    then
+      (* Another warp may be earlier: reinsert with the exact key and
+         look again.  Keys only grow, so this terminates. *)
+      heap_push heap e w
+    else begin
+      let c = if env.timing then max e env.sm.issue_free else e in
+      let cost = issue env ck ~release w c in
+      if (not w.finished) && (not w.at_barrier) && not w.in_heap then heap_push heap w.wake w;
+      post_issue w c cost
+    end
+  done;
+  if !n_unfinished > 0 then failwith "Sim: deadlock — all live warps waiting at a barrier";
   !finish_cycle
 
 let default_max_blocks = 24
@@ -1658,7 +1563,7 @@ let default_max_blocks = 24
 (* Launch a kernel.  In [Timing] mode, simulates the blocks assigned to
    one representative SM (capped) and extrapolates; in [Functional]
    mode executes every block of the grid. *)
-let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev : Device.t)
+let run ?(mode = Functional) ?(arch = Arch.g80) ?budget (dev : Device.t)
     (l : launch) : stats =
   let limits = arch.Arch.limits in
   (* The execution core is structurally 32-wide: lane loops, the full
@@ -1761,7 +1666,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
   match mode with
   | Functional ->
     (* Execute every block; blocks are independent, so one at a time. *)
-    List.iter (fun coord -> ignore (run_sm env ck ~scheduler [ coord ] 1)) all_coords;
+    List.iter (fun coord -> ignore (run_sm env ck [ coord ] 1)) all_coords;
     note_run ();
     {
       cycles = 0.0;
@@ -1792,7 +1697,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
       else n_sim
     in
     let simulated = List.filteri (fun i _ -> i < n_sim) assigned in
-    let cycles_sim = run_sm env ck ~scheduler simulated occ.blocks_per_sm in
+    let cycles_sim = run_sm env ck simulated occ.blocks_per_sm in
     note_run ();
     let scale = float_of_int n_assigned /. float_of_int n_sim in
     let cycles = float_of_int cycles_sim *. scale in

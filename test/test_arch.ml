@@ -189,7 +189,8 @@ let sweep_tests =
   [
     t "cross-arch sweep is bit-identical at jobs 1 and 4" (fun () ->
         let run jobs =
-          Tuner.Search.run_archs ~jobs ~app_name:"matmul" ~archs:A.archs quick_matmul
+          Tuner.Search.run_archs ~jobs ~app_name:"matmul" ~archs:A.archs (fun a ->
+              (quick_matmul a, None))
         in
         let a = run 1 and b = run 4 in
         check_i "same arch count" (List.length a) (List.length b);
@@ -208,7 +209,10 @@ let sweep_tests =
               rb.ar_result.Tuner.Search.selected_best.cand.desc)
           a b);
     t "at least one pair of arches disagrees on the winner" (fun () ->
-        let rs = Tuner.Search.run_archs ~jobs:2 ~app_name:"matmul" ~archs:A.archs quick_matmul in
+        let rs =
+          Tuner.Search.run_archs ~jobs:2 ~app_name:"matmul" ~archs:A.archs (fun a ->
+              (quick_matmul a, None))
+        in
         let winners =
           List.map
             (fun (r : Tuner.Search.arch_result) ->
@@ -228,7 +232,7 @@ let sweep_tests =
         check_b "invalid_arg" true
           (match
              Tuner.Search.run_archs ~jobs:1 ~app_name:"matmul" ~archs:A.archs (fun _ ->
-                 quick_matmul A.g80)
+                 (quick_matmul A.g80, None))
            with
           | (_ : Tuner.Search.arch_result list) -> false
           | exception Invalid_argument _ -> true));
@@ -315,15 +319,8 @@ let serve_tests =
         let wide = Option.get (A.find "wide32") in
         let key arch =
           let cands = quick_matmul arch in
-          let descs =
-            List.filter_map
-              (fun (c : Tuner.Candidate.t) -> if c.valid then Some c.desc else None)
-              cands
-          in
-          let space = Tuner.Store.space_digest ~app_name:"matmul" ~scale:"quick" descs in
-          Tuner.Store.candidate_key
-            ~arch:(Tuner.Store.arch_digest ~arch ())
-            ~space (List.hd cands)
+          Tuner.Store.keys ~app_name:"matmul" ~scale:"quick" cands
+            (List.find (fun (c : Tuner.Candidate.t) -> c.valid) cands)
         in
         check_b "keys differ" false (String.equal (key A.g80) (key wide)));
   ]

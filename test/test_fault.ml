@@ -179,12 +179,8 @@ let with_tmp f =
 (* Key [engine]'s measurements into [store] under [app_name] and the
    space of [cands], as the CLI's --store does. *)
 let attach_store ~app_name ~cands engine store =
-  let arch = Tuner.Store.arch_digest () in
-  let space =
-    Tuner.Store.space_digest ~app_name ~scale:"full"
-      (List.map (fun (c : Tuner.Candidate.t) -> c.desc) cands)
-  in
-  Tuner.Measure.attach_store engine ~store ~key:(Tuner.Store.candidate_key ~arch ~space)
+  Tuner.Measure.attach_store engine
+    { sb_store = store; sb_key = Tuner.Store.keys ~app_name ~scale:"full" cands }
 
 let same_outcomes a b =
   List.map2

@@ -8,9 +8,10 @@
      config) x (functional + timing), every headline statistic and an
      md5 of the full per-site counter rendering were captured from the
      pre-refactor interpreter core at the [Apps.App.Quick] sizes.
-     Each row is checked under both the ready-heap scheduler and the
-     reference linear-scan scheduler.  (GPUOPT_GOLDEN_CAPTURE reprints
-     the table after a deliberate shape change, see below.)
+     Each row is checked on a fresh device and again on a device the
+     same launch has already run on, so no state may carry from one
+     [Gpu.Sim.run] into the next.  (GPUOPT_GOLDEN_CAPTURE reprints the
+     table after a deliberate shape change, see below.)
 
    - Differential property: random race-free KIR kernels must produce
      bit-identical output buffers under [Kir.Interp] and under lowering
@@ -72,8 +73,9 @@ let golden : (string * string * string * float * int * int * int * int * int * s
    table was originally captured at, and cheap enough that functional
    mode (all blocks) stays fast.  Lint itself now runs at the [Reduced]
    race shapes; the @check alias's `lint --crossval` covers that
-   path. *)
-let stats_of ~scheduler app config mode_name : Gpu.Sim.stats =
+   path.  [~replays] runs the launch that many times on the same device
+   before the run whose statistics are returned. *)
+let stats_of ?(replays = 0) app config mode_name : Gpu.Sim.stats =
   let config_opt = match config with "" -> None | d -> Some d in
   let workbench app = Apps.App.workbench ?config:config_opt ~scale:Quick app in
   let wb =
@@ -100,37 +102,41 @@ let stats_of ~scheduler app config mode_name : Gpu.Sim.stats =
       | "functional" -> Gpu.Sim.Functional
       | _ -> Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks }
     in
-    Gpu.Sim.run ~scheduler ~mode wb.wb_dev launch
+    for _ = 1 to replays do
+      ignore (Gpu.Sim.run ~mode wb.wb_dev launch : Gpu.Sim.stats)
+    done;
+    Gpu.Sim.run ~mode wb.wb_dev launch
 
-(* With GPUOPT_GOLDEN_CAPTURE set, each heap-scheduler case prints its
-   row in the table format above instead of asserting — the supported
-   way to re-capture after a deliberate workbench-shape change. *)
+(* With GPUOPT_GOLDEN_CAPTURE set, each case prints its row in the
+   table format above instead of asserting — the supported way to
+   re-capture after a deliberate workbench-shape change. *)
 let capture = Sys.getenv_opt "GPUOPT_GOLDEN_CAPTURE" <> None
 
 let golden_tests =
   List.concat_map
     (fun (app, config, mode, cycles, wi, tx, bytes, conflict, blocks, md5) ->
-      List.map
-        (fun (sched_name, scheduler) ->
-          let cfg = if config = "" then "default" else config in
-          t (Printf.sprintf "golden %s/%s %s (%s)" app cfg mode sched_name) (fun () ->
-              let s = stats_of ~scheduler app config mode in
-              if capture then (
-                if sched_name = "heap" then
-                  Printf.printf "    (%S, %S, %S, %.17g, %d, %d, %d, %d, %d, %S);\n%!" app
-                    config mode s.Gpu.Sim.cycles s.warp_instrs s.gmem_transactions
-                    s.gmem_bytes s.bank_conflict_extra s.blocks_simulated
-                    (Digest.to_hex (Digest.string (render_stats s))))
-              else (
-                Alcotest.(check (float 0.0)) "cycles" cycles s.Gpu.Sim.cycles;
-                check_i "warp_instrs" wi s.warp_instrs;
-                check_i "gmem_transactions" tx s.gmem_transactions;
-                check_i "gmem_bytes" bytes s.gmem_bytes;
-                check_i "bank_conflict_extra" conflict s.bank_conflict_extra;
-                check_i "blocks_simulated" blocks s.blocks_simulated;
-                Alcotest.(check string) "digest" md5
-                  (Digest.to_hex (Digest.string (render_stats s))))))
-        [ ("heap", Gpu.Sim.Heap); ("scan", Gpu.Sim.Scan) ])
+      let cfg = if config = "" then "default" else config in
+      let check_row (s : Gpu.Sim.stats) =
+        Alcotest.(check (float 0.0)) "cycles" cycles s.cycles;
+        check_i "warp_instrs" wi s.warp_instrs;
+        check_i "gmem_transactions" tx s.gmem_transactions;
+        check_i "gmem_bytes" bytes s.gmem_bytes;
+        check_i "bank_conflict_extra" conflict s.bank_conflict_extra;
+        check_i "blocks_simulated" blocks s.blocks_simulated;
+        Alcotest.(check string) "digest" md5 (Digest.to_hex (Digest.string (render_stats s)))
+      in
+      [
+        t (Printf.sprintf "golden %s/%s %s (heap)" app cfg mode) (fun () ->
+            let s = stats_of app config mode in
+            if capture then
+              Printf.printf "    (%S, %S, %S, %.17g, %d, %d, %d, %d, %d, %S);\n%!" app config
+                mode s.Gpu.Sim.cycles s.warp_instrs s.gmem_transactions s.gmem_bytes
+                s.bank_conflict_extra s.blocks_simulated
+                (Digest.to_hex (Digest.string (render_stats s)))
+            else check_row s);
+        t (Printf.sprintf "golden %s/%s %s (replay)" app cfg mode) (fun () ->
+            if not capture then check_row (stats_of ~replays:1 app config mode));
+      ])
     golden
 
 (* ------------------------------------------------------------------ *)

@@ -447,8 +447,65 @@ let hardening_tests =
                             (List.init n Fun.id))))));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Store addresses                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One MD5 per space over every valid candidate's store key, as the
+   serve resolver holds them, and over the keys the race gives that
+   space's reduced list.  The literals were captured before the store
+   address was derived in one place ([Store.keys]): if any drifts, every
+   store written so far goes cold. *)
+let address_golden =
+  let open Apps.App in
+  [
+    ("matmul", Quick, "g80", "a3de8a571714135b4af333ca6e089e28", Some "53f8aa694c8797aff7f4000f21ce1229");
+    ("matmul", Paper, "g80", "b03eff33afb3d0a0dc408c7eee69ebea", Some "6fc13bff30b4f4240c9e256dd2702ba3");
+    ("cp", Quick, "g80", "57313da8fb33bf424e1de345b8a9cc06", Some "475b9a1a253bfdbdf47993e16cf097a6");
+    ("cp", Paper, "g80", "3b08b154e9be71871af0f87d22f5f96e", Some "9df343e0906ea54bae8dca04e3010985");
+    ("sad", Quick, "g80", "c556baa7bec4d8d7b95ebeb30f1e3831", Some "387aa1d82909246af44959177d865763");
+    ("sad", Paper, "g80", "92d63e2c5032ef15783aafc6913a9557", Some "48261e5c1652c43b1443b2b73f936c42");
+    ("mri", Quick, "g80", "550055aabe95bb2a8e290775f6eff576", Some "5aeb5ee99cd0ca01e5a11d4c48708448");
+    ("mri", Paper, "g80", "5d1adf2040604ee978bf5a0fd95159db", Some "d36e594424ae61480c39b5d4c150f03b");
+    ("matmul", Quick, "wide32", "a3a69fb5113c83bd7f09274ce210a390", None);
+  ]
+
+let address_tests =
+  [
+    Alcotest.test_case "every store address is unchanged, served and direct alike" `Slow
+      (fun () ->
+        let rv = Apps.Serving.resolver () in
+        let md5_of key cands =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n"
+                  (List.filter_map
+                     (fun (c : Tuner.Candidate.t) -> if c.valid then Some (key c) else None)
+                     cands)))
+        in
+        List.iter
+          (fun (app, scale, arch, want, want_race) ->
+            let name = Printf.sprintf "%s/%s/%s" app (Apps.App.scale_tag scale) arch in
+            let wire = match scale with Apps.App.Quick -> Tuner.Proto.Quick | _ -> Full in
+            match rv.rv_space ~app ~scale:wire ~arch with
+            | Error (_, msg) -> Alcotest.fail msg
+            | Ok sp ->
+              Alcotest.(check string) (name ^ " served") want (md5_of sp.sp_store_key sp.sp_cands);
+              (* The key function the CLI binds for the same space. *)
+              let direct = S.keys ~app_name:app ~scale:(Apps.App.scale_tag scale) sp.sp_cands in
+              Alcotest.(check string) (name ^ " direct") want (md5_of direct sp.sp_cands);
+              Option.iter
+                (fun want_race ->
+                  let reduced = Lazy.force sp.sp_reduced in
+                  Alcotest.(check string) (name ^ " race") want_race
+                    (md5_of (S.keys ~app_name:app ~scale:"reduced" reduced) reduced))
+                want_race)
+          address_golden);
+  ]
+
 let suite =
   [
     ( "store",
-      digest_tests @ roundtrip_tests @ concurrency_tests @ corruption_tests @ hardening_tests );
+      digest_tests @ roundtrip_tests @ concurrency_tests @ corruption_tests @ hardening_tests
+      @ address_tests );
   ]
